@@ -23,10 +23,10 @@
 // carries the p999-band per-stage attribution, and the highest-load
 // admitted point's full report lands in BENCH_fanin_attr.json
 // (--attribution to relocate) for tools/rtail. The determinism gate
-// cross-checks that every rtrace mode is virtual-time bit-identical on
-// every scheduler (off/sampled/full x host-threads {0,1,4}), and that
+// cross-checks that every rtrace mode is virtual-time bit-identical for
+// every worker count (off/sampled/full x host-threads {1,4}), and that
 // attaching the rlin linearizability checker (--rlin / RSTORE_RLIN) is
-// likewise a zero-probe-effect observer on every scheduler.
+// likewise a zero-probe-effect observer for every worker count.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -284,29 +284,20 @@ int main(int argc, char** argv) {
   (void)RunFanin(base, loads[0], default_theta, base.sessions,
                  /*admission=*/true, 'b');
 
-  // Determinism cross-check: the smallest point must land on the same
-  // virtual end time on the legacy scheduler and on partitioned
-  // schedulers with different worker counts, and the same event count
-  // across partitioned worker counts (the partitioned scheduler posts
-  // extra cross-partition bridging events, so its event count is only
-  // comparable to other partitioned runs — same contract as
-  // bench_scaling).
+  // Determinism and probe-effect cross-check: the smallest point, in
+  // every rtrace mode and with 1 and 4 host workers, must land on the
+  // reference run's virtual end time and event count — attaching the
+  // tracer never moves virtual time, and neither does the worker count.
   if (determinism) {
-    // Probe-effect and scheduler cross-check: every rtrace mode must land
-    // on the reference virtual end time on the legacy scheduler and on
-    // partitioned schedulers with different worker counts — attaching the
-    // tracer never moves virtual time.
     load::LoadOptions dbase = base;
     dbase.rtrace.mode = obs::RtraceMode::kOff;
     FaninPoint ref = RunFanin(dbase, loads[0], default_theta, base.sessions,
                               true, sweep_mix);
-    uint64_t part_events = 0;
     for (const obs::RtraceMode mode :
          {obs::RtraceMode::kOff, obs::RtraceMode::kSampled,
           obs::RtraceMode::kFull}) {
       dbase.rtrace.mode = mode;
-      for (const uint32_t t : {0u, 1u, 4u}) {
-        if (mode == obs::RtraceMode::kOff && t == 0) continue;  // == ref
+      for (const uint32_t t : {1u, 4u}) {
         FaninPoint p = RunFanin(dbase, loads[0], default_theta,
                                 base.sessions, true, sweep_mix, t);
         if (p.virtual_nanos != ref.virtual_nanos) {
@@ -317,29 +308,25 @@ int main(int argc, char** argv) {
                        p.virtual_nanos, ref.virtual_nanos);
           rc = 1;
         }
-        if (t == 0) continue;  // legacy event counts are not comparable
-        if (part_events == 0) {
-          part_events = p.events;
-        } else if (p.events != part_events) {
+        if (p.events != ref.events) {
           std::fprintf(stderr,
                        "FATAL: rtrace=%s host_threads=%u event count "
                        "diverged: %" PRIu64 " vs %" PRIu64 "\n",
                        std::string(obs::ToString(mode)).c_str(), t, p.events,
-                       part_events);
+                       ref.events);
           rc = 1;
         }
       }
     }
     // rlin probe-effect gate: attaching the linearizability checker
     // (recording the full per-op KV history) must not move virtual time
-    // either — same reference point, every scheduler. Event counts follow
-    // the same partitioned-only comparability rule as above. The env var
-    // is read per-Simulation, exactly like --rlin sets it binary-wide
-    // (in which case it is already on and stays on after the gate).
+    // either — same reference point, every worker count. The env var is
+    // read per-Simulation, exactly like --rlin sets it binary-wide (in
+    // which case it is already on and stays on after the gate).
     const bool rlin_already_on = std::getenv("RSTORE_RLIN") != nullptr;
     setenv("RSTORE_RLIN", "1", /*overwrite=*/1);
     dbase.rtrace.mode = obs::RtraceMode::kOff;
-    for (const uint32_t t : {0u, 1u, 4u}) {
+    for (const uint32_t t : {1u, 4u}) {
       FaninPoint p = RunFanin(dbase, loads[0], default_theta, base.sessions,
                               true, sweep_mix, t);
       if (p.virtual_nanos != ref.virtual_nanos) {
@@ -349,17 +336,17 @@ int main(int argc, char** argv) {
                      t, p.virtual_nanos, ref.virtual_nanos);
         rc = 1;
       }
-      if (t != 0 && p.events != part_events) {
+      if (p.events != ref.events) {
         std::fprintf(stderr,
                      "FATAL: rlin=on host_threads=%u event count diverged: "
                      "%" PRIu64 " vs %" PRIu64 "\n",
-                     t, p.events, part_events);
+                     t, p.events, ref.events);
         rc = 1;
       }
     }
     if (!rlin_already_on) unsetenv("RSTORE_RLIN");
     std::printf("determinism: (rtrace {off,sampled,full} + rlin) x "
-                "host_threads {default,1,4} %s (vtime %.6fs, %" PRIu64
+                "host_threads {1,4} %s (vtime %.6fs, %" PRIu64
                 " events)\n",
                 rc == 0 ? "bit-identical" : "DIVERGED",
                 sim::ToSeconds(ref.virtual_nanos), ref.events);

@@ -31,7 +31,7 @@ namespace {
 
 struct ScalePoint {
   uint32_t machines = 0;      // servers + clients (master not counted)
-  uint32_t host_threads = 0;  // partitioned worker count (>= 1)
+  uint32_t host_threads = 0;  // host worker count
   uint64_t events = 0;
   uint64_t virtual_nanos = 0;
   double wall_seconds = 0;

@@ -43,10 +43,10 @@ struct WallclockResult {
 
 // One full cluster lifetime: build, run to quiescence, tear down. Setup
 // and teardown are included — they are real simulator work (thread spawn
-// and unwind) that any experiment pays too. host_threads = 0 runs the
-// legacy single-loop scheduler; N >= 1 runs per-node partitions on N host
-// worker threads (virtual time must not depend on N — asserted in main).
-WallclockResult RunSaturationWorkload(uint32_t host_threads = 0) {
+// and unwind) that any experiment pays too. The per-node partitions run on
+// `host_threads` host workers (virtual time must not depend on the count —
+// asserted in main).
+WallclockResult RunSaturationWorkload(uint32_t host_threads) {
   constexpr uint32_t kMachines = 12;
   constexpr uint64_t kSlab = 1ULL << 20;            // 1 MiB striping
   constexpr uint64_t kRegionBytes = kMachines * kSlab;  // one slab/server
@@ -150,35 +150,24 @@ int main() {
   // One untimed warmup rep faults in the pooled buffer mappings and the
   // allocator's retained heap, so every measured repetition sees the same
   // warm-memory conditions (the steady state any long experiment runs in).
-  (void)rstore::bench::RunSaturationWorkload();
+  (void)rstore::bench::RunSaturationWorkload(1);
 
-  // Best-of-N: the virtual-time work is identical each repetition; the
-  // minimum wall time is the least-noisy estimate of simulator speed.
-  constexpr int kReps = 3;
-  rstore::bench::WallclockResult best;
-  for (int i = 0; i < kReps; ++i) {
-    auto r = rstore::bench::RunSaturationWorkload();
-    std::printf("rep %d: %.3fs wall, %" PRIu64 " events, %.2fM events/s\n",
-                i, r.wall_seconds, r.events,
-                static_cast<double>(r.events) / r.wall_seconds / 1e6);
-    if (best.wall_seconds == 0 || r.wall_seconds < best.wall_seconds) {
-      best = r;
-    }
-  }
-
-  // Partitioned-scheduler rows: the same workload on per-node event-loop
-  // partitions with 1 and 8 host worker threads. Virtual time must be
-  // bit-identical across worker counts (the tentpole determinism claim);
-  // the wall-clock ratio is the parallel speedup on this host.
+  // Best-of-N per worker count: the virtual-time work is identical each
+  // repetition; the minimum wall time is the least-noisy estimate of
+  // simulator speed. Virtual time must be bit-identical across worker
+  // counts (the determinism claim); the wall-clock ratio is the parallel
+  // speedup on this host. The one-worker row is the headline.
   const unsigned host_cores = std::thread::hardware_concurrency();
+  constexpr int kReps = 3;
   constexpr uint32_t kThreadRows[] = {1, 8};
   rstore::bench::WallclockResult part[2];
   for (size_t t = 0; t < 2; ++t) {
     for (int i = 0; i < kReps; ++i) {
       auto r = rstore::bench::RunSaturationWorkload(kThreadRows[t]);
       std::printf("threads=%u rep %d: %.3fs wall, %" PRIu64
-                  " events, vtime %.6fs\n",
+                  " events, %.2fM events/s, vtime %.6fs\n",
                   kThreadRows[t], i, r.wall_seconds, r.events,
+                  static_cast<double>(r.events) / r.wall_seconds / 1e6,
                   r.virtual_seconds);
       if (part[t].wall_seconds == 0 ||
           r.wall_seconds < part[t].wall_seconds) {
@@ -189,13 +178,14 @@ int main() {
   if (part[0].virtual_nanos != part[1].virtual_nanos ||
       part[0].events != part[1].events) {
     std::fprintf(stderr,
-                 "FATAL: partitioned run diverged across host-thread "
-                 "counts: vnanos %" PRIu64 " vs %" PRIu64 ", events %" PRIu64
-                 " vs %" PRIu64 "\n",
+                 "FATAL: run diverged across host-thread counts: vnanos "
+                 "%" PRIu64 " vs %" PRIu64 ", events %" PRIu64 " vs %" PRIu64
+                 "\n",
                  part[0].virtual_nanos, part[1].virtual_nanos,
                  part[0].events, part[1].events);
     return 1;
   }
+  const rstore::bench::WallclockResult& best = part[0];
 
   const double events_per_sec =
       static_cast<double>(best.events) / best.wall_seconds;
@@ -210,11 +200,9 @@ int main() {
   std::printf("  wall seconds      : %.3f\n", best.wall_seconds);
   std::printf("  events/sec        : %.3fM\n", events_per_sec / 1e6);
   std::printf("  sim bytes/sec     : %.1f MB/s\n", sim_bytes_per_sec / 1e6);
-  for (size_t t = 0; t < 2; ++t) {
-    std::printf("  partitioned x%u    : %.3fs wall (%.2fx vs legacy)\n",
-                kThreadRows[t], part[t].wall_seconds,
-                best.wall_seconds / part[t].wall_seconds);
-  }
+  std::printf("  host workers x%u   : %.3fs wall (%.2fx vs 1 worker)\n",
+              kThreadRows[1], part[1].wall_seconds,
+              best.wall_seconds / part[1].wall_seconds);
 
   // The tier-1 suite cannot be timed from inside one of its own build's
   // binaries; CI (or the operator) passes it in when known.
@@ -238,17 +226,15 @@ int main() {
                  "  \"sim_bytes_per_real_sec\": %.0f,\n"
                  "  \"tier1_suite_seconds\": %.2f,\n"
                  "  \"host_cores\": %u,\n"
-                 "  \"partitioned_note\": \"speedup_vs_legacy is only "
+                 "  \"host_threads\": %u,\n"
+                 "  \"workers_note\": \"speedup_vs_one_worker is only "
                  "meaningful when host_cores > host_threads; CI runners are "
                  "often 1-2 cores, where the epoch workers time-slice one "
-                 "core and the rows below measure overhead, not scaling\",\n"
-                 "  \"partitioned\": [\n"
+                 "core and the row below measures overhead, not scaling\",\n"
+                 "  \"workers\": [\n"
                  "    {\"host_threads\": %u, \"wall_seconds\": %.3f,\n"
                  "     \"events_per_sec\": %.0f,\n"
-                 "     \"speedup_vs_legacy\": %.3f},\n"
-                 "    {\"host_threads\": %u, \"wall_seconds\": %.3f,\n"
-                 "     \"events_per_sec\": %.0f,\n"
-                 "     \"speedup_vs_legacy\": %.3f}\n"
+                 "     \"speedup_vs_one_worker\": %.3f}\n"
                  "  ],\n"
                  "  \"baseline_pre_batching\": {\n"
                  "    \"wall_seconds\": 0.688,\n"
@@ -260,10 +246,7 @@ int main() {
                  best.events, best.slices, best.sim_bytes,
                  best.virtual_seconds, best.wall_seconds, events_per_sec,
                  sim_bytes_per_sec, suite_seconds, host_cores,
-                 kThreadRows[0], part[0].wall_seconds,
-                 static_cast<double>(part[0].events) / part[0].wall_seconds,
-                 best.wall_seconds / part[0].wall_seconds,
-                 kThreadRows[1], part[1].wall_seconds,
+                 kThreadRows[0], kThreadRows[1], part[1].wall_seconds,
                  static_cast<double>(part[1].events) / part[1].wall_seconds,
                  best.wall_seconds / part[1].wall_seconds);
     std::fclose(f);

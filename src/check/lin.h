@@ -29,8 +29,8 @@
 // Zero probe effect contract (same as rcheck/rtrace): recording is pure
 // host-side computation — no simulator events, RNG draws, or cost-model
 // charges — so virtual time is bit-identical with the checker on or off.
-// Recording is not thread-safe; the simulator serializes dispatch while
-// a checker is attached (legacy mode is already cooperative).
+// Recording is not thread-safe; the simulator dispatches on one worker
+// while a checker is attached.
 //
 // Key ids: the load engine records its dense integer key ids directly;
 // the KvStore client path records StableHash64(key bytes). The two key

@@ -70,12 +70,11 @@ class Master {
   void Start();
 
   // --- introspection for tests & benches -----------------------------
-  // Under the partitioned scheduler, callers on other partitions (client
-  // polling loops, test bodies running as client programs) get an
-  // epoch-granularity snapshot published at the barrier — a pure function
-  // of virtual time, so polls stay deterministic across host-thread
-  // counts. The master's own partition and post-run callers read the live
-  // tables directly, as before.
+  // Callers on other partitions (client polling loops, test bodies
+  // running as client programs) get an epoch-granularity snapshot
+  // published at the barrier — a pure function of virtual time, so polls
+  // stay deterministic across host-thread counts. The master's own
+  // partition and post-run callers read the live tables directly.
   [[nodiscard]] uint32_t live_servers() const;
   [[nodiscard]] uint64_t free_slabs() const;
   [[nodiscard]] size_t region_count() const noexcept {

@@ -1015,12 +1015,12 @@ Status LoadEngine::Run() {
 
 namespace {
 
-// Deliveries that share a virtual instant can be queued around this
-// thread's wake in a scheduler-dependent order: the legacy single queue
-// stamps global post order, the partitioned merge stamps
-// (source partition, post order). Sorting the batch by completion cookie
-// makes processing a pure function of the batch contents, so the
-// engine's timeline is bit-identical across --host-threads settings.
+// Deliveries that share a virtual instant reach the CQ in epoch-merge
+// order — (source partition, post order) — which records which server's
+// partition answered first, not anything the engine decided. Sorting the
+// batch by completion cookie makes processing a pure function of the
+// batch contents. The sort is part of the timeline: handling the batch in
+// merge order instead would reorder session work and move virtual time.
 // stable_sort: split-probe pieces share one cookie and their handling is
 // commutative, but keeping their relative order costs nothing.
 void SortBatch(std::vector<verbs::WorkCompletion>& wcs) {
@@ -1055,10 +1055,11 @@ Status LoadEngine::RunLoop() {
     if (inflight_wrs_ > 0) {
       // End-of-instant barrier before polling: a completion due *at* this
       // instant may still be behind this thread's wake in the event queue
-      // (whether it is depends on scheduler tie order). Yielding reposts
-      // the wake behind every already-queued same-instant event, so the
-      // batch below holds exactly the completions due by `now` under any
-      // scheduler.
+      // (whether it is depends on same-instant tie order). Yielding
+      // reposts the wake behind every already-queued same-instant event,
+      // so the batch below holds exactly the completions due by `now`.
+      // The barrier is part of the timeline: without it those stragglers
+      // would wait for a later round.
       sim::Yield();
       mux_.PollInto(wcs);
       SortBatch(wcs);

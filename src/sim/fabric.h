@@ -99,7 +99,7 @@ class Fabric {
   // Stamps of the message being delivered, valid only for the duration of
   // an on_delivered callback (nullptr elsewhere — notably for loopback
   // sends, which bypass the port model and carry no stamps). Thread-local
-  // so concurrent partitioned deliveries on different host threads each
+  // so partitions delivering concurrently on different host threads each
   // see their own message.
   [[nodiscard]] static const DeliveryStamps* CurrentDelivery() noexcept;
 
@@ -145,15 +145,14 @@ class Fabric {
     bool pump_scheduled = false;  // a pump event exists at egress_free_at
     // Ingress service is likewise a reservation timestamp. Messages are
     // served in first-bit arrival order: every message is handed to the
-    // destination at its first-bit instant (ApplyIngress — an ordinary
-    // event in legacy mode, a cross-partition post in partitioned mode),
-    // staged per instant, and reserved in (first_bit, src, tx_seq) order
-    // by DrainIngress. The explicit per-instant sort makes the service
-    // order at *tied* first-bit instants a pure function of the arrival
-    // set — bit-identical under the legacy and partitioned schedulers —
-    // where the old scheme (legacy: reservation in pump order;
-    // partitioned: epoch-merge order) let the two schedulers pick
-    // different winners and diverge under contended fan-in.
+    // destination at its first-bit instant (ApplyIngress, a
+    // cross-partition post), staged per instant, and reserved in
+    // (first_bit, src, tx_seq) order by DrainIngress. The explicit
+    // per-instant sort makes the service order at *tied* first-bit
+    // instants a pure function of the arrival set. Reserving in epoch-merge
+    // order instead would tie the winner to which source posted first,
+    // which a real switch does not see; the sort is part of the timeline,
+    // so removing it would move virtual time under contended fan-in.
     Nanos ingress_free_at = 0;
     // Same-instant arrivals staged for the end-of-instant drain.
     std::vector<Message*> ingress_stage;
@@ -191,7 +190,7 @@ class Fabric {
   void ApplyIngress(Message* msg);
   void DrainIngress(uint32_t node);
   void Deliver(Message* msg);
-  void PrepareForPartitionedRun();
+  void PrepareForRun();
   [[nodiscard]] static uint64_t LinkKey(uint32_t a, uint32_t b) noexcept {
     if (a > b) std::swap(a, b);
     return (static_cast<uint64_t>(a) << 32) | b;
@@ -200,17 +199,19 @@ class Fabric {
   Simulation& sim_;
   NicConfig config_;
   // deque: grows without invalidating references (delivery callbacks can
-  // trigger nested Sends that add ports). In partitioned mode the prepare
-  // hook pre-sizes it to the node count so the parallel phase never
-  // mutates the container (each partition then only writes its own port's
-  // egress state and its own port's ingress state).
+  // trigger nested Sends that add ports). The run-start hook pre-sizes it
+  // to the node count so the parallel phase never mutates the container
+  // (each partition then only writes its own port's egress state and its
+  // own port's ingress state).
   std::deque<PortState> ports_;
   std::unordered_set<uint64_t> down_links_;
 
   // Message pools (stable storage + freelist), one per partition index so
   // concurrent partitions never contend: acquired from the sender's pool,
-  // released into the releasing context's pool — pool membership does not
-  // affect the timeline. Legacy mode uses pool 0 only.
+  // released into the destination's (Deliver runs there). Pool membership
+  // does not affect the timeline, and on the verbs data path every
+  // request is answered by one message back (RC ack, read or atomic
+  // response), so the pools stay balanced there.
   struct MsgPool {
     std::deque<Message> arena;
     std::vector<Message*> free;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,12 +23,11 @@
 namespace rstore::sim {
 
 // ---------------------------------------------------------------------------
-// SimPartition: one event queue + clock + thread-handoff channel. Legacy
-// mode has exactly one (every node shares it — the historical global
-// scheduler). Partitioned mode gives every node its own, plus partition 0
-// for driver-scheduled events; partitions dispatch independently inside
-// conservative epochs and exchange cross-partition events through
-// `outbox`, merged deterministically at epoch barriers (FlushOutboxes).
+// SimPartition: one event queue + clock + thread-handoff channel. Every
+// node has its own, plus partition 0 for driver-scheduled events;
+// partitions dispatch independently inside conservative epochs and
+// exchange cross-partition events through `outbox`, merged
+// deterministically at epoch barriers (FlushOutboxes).
 // ---------------------------------------------------------------------------
 struct SimPartition {
   using Event = Simulation::Event;
@@ -180,12 +180,26 @@ SimThread* Current() {
   }
   return t;
 }
-}  // namespace
 
-bool PartitionedEnvRequested() {
+// RSTORE_HOST_THREADS: a positive decimal integer (capped at 1024), else
+// 1. An unset or empty variable means 1 silently; anything else that does
+// not parse whole as a positive integer is reported, like RSTORE_EXPLORE.
+uint32_t HostThreadsFromEnv() {
   const char* e = std::getenv("RSTORE_HOST_THREADS");
-  return e != nullptr && *e != '\0' && std::strtol(e, nullptr, 10) > 0;
+  if (e == nullptr || *e == '\0') return 1;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(e, &end, 10);
+  if (errno != 0 || *end != '\0' || v < 1) {
+    std::fprintf(stderr,
+                 "RSTORE_HOST_THREADS: invalid worker count '%s' (expected a "
+                 "positive integer); using 1\n",
+                 e);
+    return 1;
+  }
+  return static_cast<uint32_t>(std::min(v, 1024L));
 }
+}  // namespace
 
 bool SimThread::ShuttingDown() const noexcept { return sim_.shutting_down(); }
 
@@ -349,23 +363,10 @@ Nanos CondVar::NowInternal() const { return sim_.NowNanos(); }
 // ---------------------------------------------------------------------------
 Simulation::Simulation(SimConfig config)
     : config_(config), seeder_(config.seed) {
-  // Partitioned mode: explicit config wins; otherwise the environment
-  // opts whole processes in (the bench --host-threads flag and the CI
+  // An explicit worker count wins; otherwise the environment sets it for
+  // whole processes (the bench --host-threads flag and the CI
   // parallel-determinism gate both use the env).
-  if (config_.host_threads == 0) {
-    if (const char* e = std::getenv("RSTORE_HOST_THREADS");
-        e != nullptr && *e != '\0') {
-      const long v = std::strtol(e, nullptr, 10);
-      if (v > 0) {
-        config_.host_threads = static_cast<uint32_t>(std::min(v, 1024L));
-      }
-    }
-  }
-  if (const char* e = std::getenv("RSTORE_PARTITION_SERIAL");
-      e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0) {
-    config_.serialize_dispatch = true;
-  }
-  partitioned_ = config_.host_threads >= 1;
+  if (config_.host_threads == 0) config_.host_threads = HostThreadsFromEnv();
   partitions_.push_back(std::make_unique<Partition>());
   partitions_.back()->sim = this;
   partitions_.back()->index = 0;
@@ -415,15 +416,11 @@ Node& Simulation::AddNode(std::string name) {
   nodes_.push_back(
       std::make_unique<Node>(*this, id, std::move(name), seeder_.Next()));
   Node& node = *nodes_.back();
-  if (partitioned_) {
-    partitions_.push_back(std::make_unique<Partition>());
-    partitions_.back()->sim = this;
-    partitions_.back()->index = static_cast<uint32_t>(partitions_.size() - 1);
-    partitions_.back()->events.reserve(64);
-    node.partition_ = partitions_.back().get();
-  } else {
-    node.partition_ = partitions_.front().get();
-  }
+  partitions_.push_back(std::make_unique<Partition>());
+  partitions_.back()->sim = this;
+  partitions_.back()->index = static_cast<uint32_t>(partitions_.size() - 1);
+  partitions_.back()->events.reserve(64);
+  node.partition_ = partitions_.back().get();
   if (telemetry_ != nullptr) {
     (void)telemetry_->metrics().ForNode(id, node.name());
     telemetry_->tracer().RegisterNode(id, node.name());
@@ -453,7 +450,6 @@ uint32_t Simulation::CurrentPartitionIndex() const noexcept {
 }
 
 bool Simulation::InContextOfNode(uint32_t node_id) const noexcept {
-  if (!partitioned_) return true;
   const Partition* cur = CurrentPartition();
   return cur == nullptr || cur == nodes_.at(node_id)->partition_;
 }
@@ -470,7 +466,7 @@ uint64_t Simulation::thread_slices() const noexcept {
   return n;
 }
 
-void Simulation::AtPartitionedRunStart(std::function<void()> hook) {
+void Simulation::AtRunStart(std::function<void()> hook) {
   prepare_hooks_.push_back(std::move(hook));
 }
 
@@ -583,7 +579,7 @@ void Simulation::ScheduleWake(SimThread* t, uint64_t gen, Nanos at,
   e.wake_reason = reason;
   if (cur != nullptr && cur != &target) {
     // Cross-partition notify (e.g. a CondVar poked from another node's
-    // context under serialized dispatch): routed through the epoch
+    // context while one worker dispatches): routed through the epoch
     // boundary; the generation check makes late arrivals safe.
     e.t = std::max(at, cur->now);
     e.seq = 0;
@@ -682,10 +678,9 @@ Simulation::Event Simulation::ExploreTieBreak(Partition& p, Event first) {
 
 void Simulation::Run() { RunUntil(kNever); }
 
-void Simulation::DispatchPartition(Partition& p, Nanos deadline, Nanos until,
-                                   bool obey_stop) {
+void Simulation::DispatchPartition(Partition& p, Nanos deadline,
+                                   Nanos until) {
   while (!p.events.empty()) {
-    if (obey_stop && stop_requested_.load(std::memory_order_relaxed)) return;
     // Conservative epoch horizon: nothing at or past `until` may run this
     // epoch (cross-partition arrivals up to the horizon are already
     // merged; later ones are not yet visible).
@@ -737,7 +732,7 @@ void Simulation::DispatchShare(uint32_t worker, uint32_t stride,
     Partition& p = *partitions_[i];
     if (p.events.empty()) continue;
     g_current_partition = &p;
-    DispatchPartition(p, deadline, until, /*obey_stop=*/false);
+    DispatchPartition(p, deadline, until);
     g_current_partition = nullptr;
   }
 }
@@ -785,7 +780,9 @@ struct Simulation::EpochSync {
   bool quit = false;
 };
 
-void Simulation::RunPartitionedUntil(Nanos deadline) {
+void Simulation::RunUntil(Nanos deadline) {
+  assert(!InSimThread() && "Run must be driven from outside the simulation");
+  stop_requested_.store(false, std::memory_order_relaxed);
   merge_scratch_.resize(partitions_.size());
   // Run-start hooks: models pre-size per-partition pools and pre-resolve
   // telemetry instruments so the parallel phase never mutates shared
@@ -799,8 +796,7 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
   // which host thread dispatches a partition — so serialized runs are
   // valid goldens for parallel ones and vice versa.
   const bool serialize =
-      config_.serialize_dispatch || checker_ != nullptr ||
-      lin_ != nullptr || policy_ != nullptr ||
+      checker_ != nullptr || lin_ != nullptr || policy_ != nullptr ||
       (telemetry_ != nullptr && telemetry_->tracing());
   const uint32_t workers =
       serialize ? 1 : std::min(config_.host_threads, count);
@@ -892,20 +888,6 @@ void Simulation::RunPartitionedUntil(Nanos deadline) {
   Nanos max_now = driver_now_;
   for (const auto& p : partitions_) max_now = std::max(max_now, p->now);
   driver_now_ = max_now;
-}
-
-void Simulation::RunUntil(Nanos deadline) {
-  assert(!InSimThread() && "Run must be driven from outside the simulation");
-  stop_requested_.store(false, std::memory_order_relaxed);
-  if (partitioned_) {
-    RunPartitionedUntil(deadline);
-    return;
-  }
-  Partition& p = *partitions_.front();
-  g_current_partition = &p;
-  DispatchPartition(p, deadline, kNever, /*obey_stop=*/true);
-  g_current_partition = nullptr;
-  driver_now_ = p.now;
 }
 
 void Simulation::KillNode(uint32_t id) {

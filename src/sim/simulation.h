@@ -21,20 +21,19 @@
 //     (see cost_model.h) — which keeps performance accounting explicit,
 //     documented, and machine-independent.
 //
-// Partitioned (parallel) mode
-// ---------------------------
-//   With SimConfig::host_threads >= 1 (or RSTORE_HOST_THREADS set), every
-//   node gets its own event queue and clock — a *partition* — and
-//   partitions execute independently inside barrier-synced virtual-time
-//   epochs bounded by the conservative lookahead (the minimum
-//   cross-partition fabric latency, see ProposeLookahead). Cross-partition
-//   events are exchanged at epoch boundaries through a deterministic merge
-//   rule (sort by timestamp, then by (source partition, post order)), so
-//   the timeline is a pure function of the workload and NOT of the host
-//   thread count: --host-threads=8 is bit-identical to --host-threads=1.
-//   host_threads == 0 (the default) selects the original single-queue
-//   scheduler, byte-for-byte unchanged. See DESIGN.md "Parallel
-//   simulation".
+// Partitioned scheduling
+// -----------------------
+//   Every node gets its own event queue and clock — a *partition* — plus
+//   partition 0 for driver-scheduled events. Partitions execute
+//   independently inside barrier-synced virtual-time epochs bounded by the
+//   conservative lookahead (the minimum cross-partition fabric latency,
+//   see ProposeLookahead). Cross-partition events are exchanged at epoch
+//   boundaries through a deterministic merge rule (sort by timestamp, then
+//   by (source partition, post order)), so the timeline is a pure function
+//   of the workload and NOT of the host worker count (SimConfig::
+//   host_threads): --host-threads=8 is bit-identical to --host-threads=1.
+//   One worker dispatches the partitions of each epoch in partition-id
+//   order on the calling thread. See DESIGN.md "Parallel simulation".
 //
 // Failure injection
 // -----------------
@@ -84,12 +83,6 @@ class Simulation;
 class Node;
 class SimThread;
 
-// True when the RSTORE_HOST_THREADS environment variable requests
-// partitioned scheduling for every Simulation in the process (the CI
-// parallel-determinism gate). Tests that pin exact *legacy-scheduler*
-// timelines use this to skip themselves under the gate.
-[[nodiscard]] bool PartitionedEnvRequested();
-
 // Thrown out of blocking calls when the hosting node has been killed (or
 // the simulation is shutting down). Node programs should let it propagate;
 // Node::Spawn catches it at the top of every thread.
@@ -133,8 +126,7 @@ class Node {
   // while all partitions are quiesced), but *read* by other partitions on
   // the fabric path-up check, so the TSan build needs the atomic.
   std::atomic<bool> alive_ = true;
-  // The event queue this node's events live on. Legacy mode: the single
-  // shared partition 0. Partitioned mode: a dedicated partition per node.
+  // The node's own event queue and clock (see "Partitioned scheduling").
   struct SimPartition* partition_ = nullptr;
   std::vector<std::unique_ptr<SimThread>> threads_;
 };
@@ -163,12 +155,13 @@ void Yield();
 // besides Sleep; everything higher (completion queues, RPC futures, BSP
 // barriers) is built from it.
 //
-// Partitioned mode: a CondVar must only be notified from its waiters' own
-// node (or from scheduler callbacks running on that node's partition) —
-// which every simulator primitive (CQs, RPC futures, BSP barriers)
-// already satisfies, since they are per-node objects poked by delivery
-// events on that node. Cross-partition notification is routed through the
-// epoch boundary and is only safe under serialized dispatch.
+// A CondVar must only be notified from its waiters' own node (or from
+// scheduler callbacks running on that node's partition) — which every
+// simulator primitive (CQs, RPC futures, BSP barriers) already satisfies,
+// since they are per-node objects poked by delivery events on that node.
+// Cross-partition notification is routed through the epoch boundary and
+// is only safe while one worker dispatches (host_threads = 1, or an
+// attached checker, policy or tracer).
 // ---------------------------------------------------------------------------
 class CondVar {
  public:
@@ -219,21 +212,15 @@ struct SimConfig {
   uint64_t seed = 1;
   // Safety valve: Run() aborts the process if virtual time passes this.
   Nanos horizon = Seconds(36000);
-  // 0 (default): the original single-queue scheduler, byte-for-byte the
-  // historical behaviour. N >= 1: partitioned scheduling with one event
-  // queue per node and up to N host worker threads dispatching epochs in
-  // parallel. The *timeline* is identical for every N >= 1 — only wall
-  // clock changes — so N=1 is the golden reference for the N=8 run.
-  // Overridden by RSTORE_HOST_THREADS when left 0.
+  // Host worker threads dispatching each epoch's partitions in parallel.
+  // The *timeline* is identical for every N — only wall clock changes —
+  // so N=1 is the golden reference for the N=8 run. 0 (the default) takes
+  // RSTORE_HOST_THREADS from the environment, else 1; a value that is not
+  // a positive integer is reported on stderr and means 1. An attached
+  // checker, exploration policy or span tracer always dispatches on one
+  // worker: those layers observe a single global order, which one worker
+  // produces with the same timeline by construction.
   uint32_t host_threads = 0;
-  // Force epochs to dispatch partitions one at a time (in partition-id
-  // order) on the calling thread, regardless of host_threads. Used by the
-  // CI full-suite determinism gate, and switched on automatically when a
-  // checker, an exploration policy, or span tracing is attached — those
-  // layers observe a single global order, and serialized dispatch
-  // produces the *same timeline* as parallel dispatch by construction.
-  // Also via RSTORE_PARTITION_SERIAL.
-  bool serialize_dispatch = false;
 };
 
 class Simulation {
@@ -252,14 +239,11 @@ class Simulation {
 
   // Current virtual time of the calling context: a node thread or a
   // partition dispatch callback sees its partition's clock; the driver
-  // (outside Run) sees the maximum over partitions. In legacy mode all of
-  // these are the single global clock.
+  // (outside Run) sees the maximum over partitions.
   [[nodiscard]] Nanos NowNanos() const noexcept;
   [[nodiscard]] uint64_t seed() const noexcept { return config_.seed; }
 
-  // True when this simulation runs the partitioned scheduler
-  // (host_threads >= 1).
-  [[nodiscard]] bool partitioned() const noexcept { return partitioned_; }
+  // Host worker count in effect (SimConfig::host_threads resolved).
   [[nodiscard]] uint32_t host_threads() const noexcept {
     return config_.host_threads;
   }
@@ -274,14 +258,13 @@ class Simulation {
   }
 
   // Partition index of the calling context: node threads and partition
-  // callbacks return their partition; the driver returns 0. Legacy mode
-  // always returns 0. Used by pooled allocators (fabric messages, verbs
-  // wire ops) to pick a per-partition freelist.
+  // callbacks return their partition; the driver returns 0. Used by
+  // pooled allocators (fabric messages, verbs wire ops) to pick a
+  // per-partition freelist.
   [[nodiscard]] uint32_t CurrentPartitionIndex() const noexcept;
   // True when the calling context may touch `node_id`'s state directly:
-  // legacy mode, driver context between runs, or the node's own
-  // partition. Cross-partition work must instead be posted via
-  // PostToNode.
+  // driver context between runs, or the node's own partition.
+  // Cross-partition work must instead be posted via PostToNode.
   [[nodiscard]] bool InContextOfNode(uint32_t node_id) const noexcept;
 
   // Events dispatched so far (callbacks run + thread slices; stale wakes
@@ -301,7 +284,7 @@ class Simulation {
   void After(Nanos delay, EventFn fn);
 
   // Schedules `fn` at virtual time `t` on the partition owning `node_id`,
-  // from any context. Same-partition (and legacy) posts are ordinary At()
+  // from any context. Same-partition posts are ordinary At()
   // events; cross-partition posts are buffered in the source partition's
   // outbox and merged at the next epoch boundary under the deterministic
   // merge rule — sorted by t, then (source partition, post order) — and
@@ -319,9 +302,9 @@ class Simulation {
   // exceed `deadline`.
   void RunUntil(Nanos deadline);
 
-  // Asks the dispatch loop to return after the current slice (legacy) or
-  // at the current epoch boundary (partitioned — sampling the flag only
-  // at barriers is what keeps the timeline thread-count-independent).
+  // Asks the dispatch loop to return at the current epoch boundary
+  // (sampling the flag only at barriers is what keeps the timeline
+  // thread-count-independent).
   // Callable from node threads and scheduler callbacks; the natural way
   // for a workload driver to end a simulation whose background services
   // (heartbeats, sweepers) would otherwise generate events forever.
@@ -335,10 +318,10 @@ class Simulation {
   void KillNode(uint32_t id);
 
   // Registers a hook run on the driver thread at the start of every
-  // partitioned Run/RunUntil, before workers exist. Models use it to
-  // pre-size per-partition pools and pre-resolve telemetry instruments so
-  // the parallel phase never mutates shared tables.
-  void AtPartitionedRunStart(std::function<void()> hook);
+  // Run/RunUntil, before workers exist. Models use it to pre-size
+  // per-partition pools and pre-resolve telemetry instruments so the
+  // parallel phase never mutates shared tables.
+  void AtRunStart(std::function<void()> hook);
   // Registers a hook run on the driver thread at every epoch boundary
   // (all partitions quiescent). Used to publish cross-partition snapshot
   // state (e.g. the master's live-server count) with epoch granularity —
@@ -366,10 +349,9 @@ class Simulation {
   // "0"), the constructor attaches an owned checker automatically and
   // Shutdown() prints its reports, dumps them as JSON (into
   // $RSTORE_RCHECK_OUT or ./rcheck_report.json), and aborts if any
-  // violation was found — the CI gate. In partitioned mode an attached
-  // checker serializes epoch dispatch, so its vector clocks observe one
-  // global order and its reports are identical for every host thread
-  // count.
+  // violation was found — the CI gate. An attached checker serializes
+  // epoch dispatch, so its vector clocks observe one global order and its
+  // reports are identical for every host thread count.
   void AttachChecker(check::Checker* checker);
   [[nodiscard]] check::Checker* checker() const noexcept { return checker_; }
 
@@ -382,8 +364,8 @@ class Simulation {
   // an owned checker automatically and Shutdown() finalizes it, prints
   // reports, dumps them as JSON (into $RSTORE_RLIN_OUT or
   // ./rlin_report.json), and aborts on any violation — the CI gate. Like
-  // rcheck, an attached lin checker serializes epoch dispatch in
-  // partitioned mode so capture sites record in one global order.
+  // rcheck, an attached lin checker serializes epoch dispatch so capture
+  // sites record in one global order.
   void AttachLinChecker(check::LinChecker* lin);
   [[nodiscard]] check::LinChecker* lin() const noexcept { return lin_; }
 
@@ -400,9 +382,9 @@ class Simulation {
   // Simulation instances in the process cycle through `runs` derived
   // seeds, and on an rcheck violation Shutdown() writes the replayable
   // decision trace next to the rcheck report (into $RSTORE_EXPLORE_OUT or
-  // ./explore_trace.json) before aborting. In partitioned mode a policy
-  // serializes epoch dispatch (partitions in id order), so choice points
-  // fire in one canonical order under any host thread count.
+  // ./explore_trace.json) before aborting. A policy serializes epoch
+  // dispatch (partitions in id order), so choice points fire in one
+  // canonical order under any host thread count.
   void AttachPolicy(explore::SchedulePolicy* policy);
   [[nodiscard]] explore::SchedulePolicy* policy() const noexcept {
     return policy_;
@@ -470,15 +452,11 @@ class Simulation {
   // Only reached under serialized dispatch (attaching a policy
   // serializes), so the shared scratch vectors are safe.
   Event ExploreTieBreak(Partition& p, Event first);
-  // The dispatch loop shared by every mode. Runs events with t <= deadline
-  // and (when `until` != kNever) t < until, on one partition. `obey_stop`
-  // checks stop_requested_ before every event (legacy semantics); epochs
-  // pass false and sample the flag at barriers instead.
-  void DispatchPartition(Partition& p, Nanos deadline, Nanos until,
-                         bool obey_stop);
+  // Runs one partition's events with t <= deadline and (when `until` !=
+  // kNever) t < until — one epoch's worth.
+  void DispatchPartition(Partition& p, Nanos deadline, Nanos until);
   void DispatchShare(uint32_t worker, uint32_t stride, Nanos deadline,
                      Nanos until);
-  void RunPartitionedUntil(Nanos deadline);
   void SweepKilledThreads(Node& node);
   // Deterministic epoch merge: drains every partition's outbox (ascending
   // partition id, each in post order), stable-sorts each destination's
@@ -492,16 +470,14 @@ class Simulation {
   }
 
   SimConfig config_;
-  bool partitioned_ = false;
   Rng seeder_;
   // Virtual clock seen by the driver between runs: the max over partition
-  // clocks at the last dispatch exit (legacy: the single global clock).
+  // clocks at the last dispatch exit.
   Nanos driver_now_ = 0;
   Nanos lookahead_ = kNever;
   // Partitions are stable (unique_ptr) and declared before nodes_ so node
-  // teardown can still reach its partition. Legacy mode: exactly one.
-  // Partitioned mode: partition 0 carries driver-scheduled events; node i
-  // owns partition i+1.
+  // teardown can still reach its partition. Partition 0 carries
+  // driver-scheduled events; node i owns partition i+1.
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<bool> shutting_down_ = false;

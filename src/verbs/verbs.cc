@@ -341,10 +341,9 @@ constexpr uint64_t kAtomicResponseBytes = 8;
 // completions fire when the responder's ack arrives, one base_latency
 // after target execution — the same round trip reads and atomics pay.
 // (Besides fidelity, this keeps every cross-node effect at fabric
-// latency, which the partitioned scheduler's lookahead requires for
-// legacy/partitioned bit-identical timelines; the old model completed
-// writes in zero time across nodes, which an epoch-based scheduler
-// cannot reproduce exactly.)
+// latency, the scheduler's epoch lookahead: a zero-time cross-node
+// completion would land inside the epoch that caused it, which the epoch
+// merge cannot order. The ack's round trip is part of the timeline.)
 constexpr uint64_t kAckBytes = 12;
 
 // Registers one queued WR with the rcheck shadow state: maps the opcode
@@ -525,11 +524,10 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
       // Bounce buffer: snapshot the outgoing data at doorbell time — the
       // target then never reads the initiator's memory. Matches HCA
       // semantics: the NIC reads the source buffers when it processes the
-      // descriptor. Under the partitioned scheduler this is also what
-      // keeps the target off memory another partition may be mutating;
-      // it runs in legacy mode too so both schedulers sample racing
-      // buffers at the identical virtual instant (scheduler-invariant
-      // timelines need identical data, not just identical event times).
+      // descriptor. It is also what keeps the target off memory another
+      // partition may be mutating, and it fixes the virtual instant at
+      // which racing buffers are sampled (a later read would change which
+      // bytes land, and with them the timeline).
       switch (wr.opcode) {
         case Opcode::kSend:
         case Opcode::kRdmaWrite:
@@ -565,33 +563,26 @@ void QueuePair::IssueDoorbell(uint64_t first_seq, uint32_t count) {
             // NAK rides the wire back; because acks are delivered in order
             // per (src, dst) pair, this rejection cannot overtake an
             // earlier op's in-flight ack and flush it prematurely.
-            op->initiator->CompleteSqViaAck(*pnet, op->dst_node, op->seq,
-                                            WcStatus::kRetryExceeded, 0,
-                                            op->stamps);
-            pnet->ReleaseWireOp(op);
+            op->initiator->CompleteSqViaAck(*pnet, op->dst_node, op,
+                                            WcStatus::kRetryExceeded, 0);
             return;
           }
           op->initiator->ExecuteAtTarget(*pnet, target, *tqp, op);
         },
         /*on_dropped=*/
         [pnet, op] {
-          op->initiator->CompleteSqFromWire(op->seq, WcStatus::kRetryExceeded,
-                                            0, op->stamps);
-          pnet->ReleaseWireOp(op);
+          op->initiator->FinishOp(*pnet, op, WcStatus::kRetryExceeded, 0);
         });
   }
 }
 
-// Target-side execution of an arriving request, in scheduler context (the
-// target's partition when the scheduler is partitioned). Owns `op`: every
-// path releases it exactly once — immediately for ops that finish here,
-// or when the response message's wire event fires. Initiator-side
-// completions are routed through CompleteSqFromWire, which hops back to
-// the initiator's partition when needed.
+// Target-side execution of an arriving request, in scheduler context on
+// the target's partition. Owns `op`: every path ends in exactly one
+// FinishOp on the initiator's partition — routed there at once for
+// errors detected here, or run when the RC ack or response delivers.
 void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                                 WireOp* op) {
   const SendWr& wr = op->wr;
-  const uint64_t seq = op->seq;
   op->stamps.executed = net.sim().NowNanos();
   check::Checker* ck = net.sim().checker();
   switch (wr.opcode) {
@@ -599,12 +590,10 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       Network* pnet = &net;
       const uint32_t tnode = target.node_id();
       tqp.AcceptSend(wr, op->src_node,
-                     [this, pnet, tnode, seq,
-                      stamps = op->stamps](WcStatus st, uint32_t len) {
-                       CompleteSqViaAck(*pnet, tnode, seq, st, len, stamps);
+                     [this, pnet, tnode, op](WcStatus st, uint32_t len) {
+                       CompleteSqViaAck(*pnet, tnode, op, st, len);
                      },
                      /*data_already_placed=*/false, std::move(op->payload));
-      net.ReleaseWireOp(op);
       return;
     }
 
@@ -615,9 +604,8 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       if (mr == nullptr || !mr->Covers(wr.remote_addr, total) ||
           (mr->access() & kRemoteWrite) == 0) {
         // NAK rides the wire back like the success ack.
-        CompleteSqViaAck(net, target.node_id(), seq, WcStatus::kRemAccessErr,
-                         0, op->stamps);
-        net.ReleaseWireOp(op);
+        CompleteSqViaAck(net, target.node_id(), op, WcStatus::kRemAccessErr,
+                         0);
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
@@ -631,16 +619,14 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         Network* pnet = &net;
         const uint32_t tnode = target.node_id();
         tqp.AcceptSend(wr, op->src_node,
-                       [this, pnet, tnode, seq,
-                        stamps = op->stamps](WcStatus st, uint32_t len) {
-                         CompleteSqViaAck(*pnet, tnode, seq, st, len, stamps);
+                       [this, pnet, tnode, op](WcStatus st, uint32_t len) {
+                         CompleteSqViaAck(*pnet, tnode, op, st, len);
                        },
                        /*data_already_placed=*/true);
       } else {
-        CompleteSqViaAck(net, target.node_id(), seq, WcStatus::kSuccess,
-                         static_cast<uint32_t>(total), op->stamps);
+        CompleteSqViaAck(net, target.node_id(), op, WcStatus::kSuccess,
+                         static_cast<uint32_t>(total));
       }
-      net.ReleaseWireOp(op);
       return;
     }
 
@@ -649,18 +635,17 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       MemoryRegion* mr = target.FindMrByRkey(wr.rkey);
       if (mr == nullptr || !mr->Covers(wr.remote_addr, total) ||
           (mr->access() & kRemoteRead) == 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemAccessErr, 0, op->stamps);
-        net.ReleaseWireOp(op);
+        FinishOp(net, op, WcStatus::kRemAccessErr, 0);
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
       if (total > 0) {
         // Snapshot the target range into the bounce buffer now (the NIC
         // reads the MR when it serves the request); the response scatters
-        // from the buffer at delivery. Both schedulers therefore sample
-        // the target memory at the same virtual instant even when a
-        // racing write lands between request service and response
-        // delivery.
+        // from the buffer at delivery. The target memory is therefore
+        // sampled at request service, whatever a racing write does before
+        // the response delivers; moving the snapshot would move which
+        // bytes land.
         op->payload.resize(total);
         std::memcpy(op->payload.data(),
                     reinterpret_cast<const std::byte*>(wr.remote_addr), total);
@@ -686,16 +671,11 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                 src += s.length;
               }
             }
-            op->initiator->CompleteSqFromWire(
-                op->seq, WcStatus::kSuccess,
-                static_cast<uint32_t>(w.total_length()), op->stamps);
-            pnet->ReleaseWireOp(op);
+            op->initiator->FinishOp(*pnet, op, WcStatus::kSuccess,
+                                    static_cast<uint32_t>(w.total_length()));
           },
           [pnet, op] {
-            op->initiator->CompleteSqFromWire(op->seq,
-                                              WcStatus::kRetryExceeded, 0,
-                                              op->stamps);
-            pnet->ReleaseWireOp(op);
+            op->initiator->FinishOp(*pnet, op, WcStatus::kRetryExceeded, 0);
           });
       return;
     }
@@ -705,13 +685,11 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
       MemoryRegion* mr = target.FindMrByRkey(wr.rkey);
       if (mr == nullptr || !mr->Covers(wr.remote_addr, 8) ||
           (mr->access() & kRemoteAtomic) == 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemAccessErr, 0, op->stamps);
-        net.ReleaseWireOp(op);
+        FinishOp(net, op, WcStatus::kRemAccessErr, 0);
         return;
       }
       if (wr.remote_addr % 8 != 0) {
-        CompleteSqFromWire(seq, WcStatus::kRemOpErr, 0, op->stamps);
-        net.ReleaseWireOp(op);
+        FinishOp(net, op, WcStatus::kRemOpErr, 0);
         return;
       }
       if (ck != nullptr && wr.check_ref != 0) ck->OnExecute(wr.check_ref);
@@ -723,31 +701,24 @@ void QueuePair::ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
         *cell = old + wr.swap_or_add;
       }
       // The op stays in flight until the response delivers so its wire
-      // stamps ride back with the completion (pool membership never
-      // affects the timeline — only the release site moved). The delivery
-      // callback runs on the initiator's partition (it is the message
-      // destination), so writing the result buffer there is
-      // partition-local.
+      // stamps ride back with the completion. The delivery callback runs
+      // on the initiator's partition (it is the message destination), so
+      // writing the result buffer there is partition-local.
       Network* pnet = &net;
       net.fabric().Send(
           target.node_id(), device_.node_id(), kAtomicResponseBytes,
           [pnet, op, old] {
             std::memcpy(op->wr.local.addr, &old, 8);
-            op->initiator->CompleteSq(op->seq, WcStatus::kSuccess, 8,
-                                      op->stamps);
-            pnet->ReleaseWireOp(op);
+            op->initiator->FinishOp(*pnet, op, WcStatus::kSuccess, 8);
           },
           [pnet, op] {
-            op->initiator->CompleteSqFromWire(op->seq,
-                                              WcStatus::kRetryExceeded, 0,
-                                              op->stamps);
-            pnet->ReleaseWireOp(op);
+            op->initiator->FinishOp(*pnet, op, WcStatus::kRetryExceeded, 0);
           });
       return;
     }
 
     case Opcode::kRecv:
-      net.ReleaseWireOp(op);
+      FinishOp(net, op, WcStatus::kLocalProtErr, 0);
       break;  // unreachable: rejected at post time
   }
 }
@@ -822,38 +793,43 @@ Status QueuePair::PostRecv(const RecvWr& wr) {
   return Status::Ok();
 }
 
-void QueuePair::CompleteSqFromWire(uint64_t seq, WcStatus status,
-                                   uint32_t byte_len, WireStamps stamps) {
-  sim::Simulation& sim = device_.network().sim();
-  if (sim.partitioned() && !sim.InContextOfNode(device_.node_id())) {
-    // Target-side code finishing an op: the send queue and send CQ belong
-    // to the initiator's partition, so hop there. The event carries the
-    // current virtual instant — completion time is unchanged; arrivals
-    // merge deterministically at the epoch barrier.
+void QueuePair::FinishOp(Network& net, WireOp* op, WcStatus status,
+                         uint32_t byte_len) {
+  sim::Simulation& sim = net.sim();
+  if (!sim.InContextOfNode(device_.node_id())) {
+    // Target-side code finishing an op: the send queue, the send CQ and
+    // the op's pool belong to the initiator's partition, so hop there.
+    // The event carries the current virtual instant — completion time is
+    // unchanged; arrivals merge deterministically at the epoch barrier.
     sim.PostToNode(device_.node_id(), sim.NowNanos(),
-                   [this, seq, status, byte_len, stamps] {
-                     CompleteSq(seq, status, byte_len, stamps);
+                   [this, &net, op, status, byte_len] {
+                     FinishOp(net, op, status, byte_len);
                    });
     return;
   }
-  CompleteSq(seq, status, byte_len, stamps);
+  CompleteSq(op->seq, status, byte_len, op->stamps);
+  net.ReleaseWireOp(op);
 }
 
 // Completion via RC ack: ride a small message from the target back to the
 // initiator and complete when it is delivered, exactly as read responses
 // and atomic responses already do. The delivery callback runs on the
-// initiator's partition (it is the message destination), so CompleteSq is
+// initiator's partition (it is the message destination), so FinishOp is
 // partition-local there. A dropped ack surfaces as a retry-exceeded error
-// at the drop instant.
+// at the drop instant, without the op's wire stamps.
 void QueuePair::CompleteSqViaAck(Network& net, uint32_t target_node,
-                                 uint64_t seq, WcStatus status,
-                                 uint32_t byte_len, WireStamps stamps) {
+                                 WireOp* op, WcStatus status,
+                                 uint32_t byte_len) {
+  Network* pnet = &net;
   net.fabric().Send(
       target_node, device_.node_id(), kAckBytes,
-      [this, seq, status, byte_len, stamps] {
-        CompleteSq(seq, status, byte_len, stamps);
+      [this, pnet, op, status, byte_len] {
+        FinishOp(*pnet, op, status, byte_len);
       },
-      [this, seq] { CompleteSqFromWire(seq, WcStatus::kRetryExceeded, 0); });
+      [this, pnet, op] {
+        op->stamps = WireStamps{};
+        FinishOp(*pnet, op, WcStatus::kRetryExceeded, 0);
+      });
 }
 
 void QueuePair::CompleteSq(uint64_t seq, WcStatus status, uint32_t byte_len,
@@ -949,12 +925,10 @@ Network::Network(sim::Simulation& sim, sim::NicConfig nic,
                  sim::CpuCostModel cpu)
     : sim_(sim), fabric_(sim, nic), cpu_(cpu) {
   op_pools_.emplace_back();
-  if (sim_.partitioned()) {
-    sim_.AtPartitionedRunStart([this] { PrepareForPartitionedRun(); });
-  }
+  sim_.AtRunStart([this] { PrepareForRun(); });
 }
 
-void Network::PrepareForPartitionedRun() {
+void Network::PrepareForRun() {
   while (op_pools_.size() < sim_.node_count() + 1) op_pools_.emplace_back();
 }
 
@@ -987,6 +961,12 @@ WireOp* Network::AcquireWireOp() {
 void Network::ReleaseWireOp(WireOp* op) {
   op->payload.clear();  // keep capacity for reuse
   op_pools_[sim_.CurrentPartitionIndex()].free.push_back(op);
+}
+
+size_t Network::wire_ops_allocated() const noexcept {
+  size_t n = 0;
+  for (const OpPool& pool : op_pools_) n += pool.arena.size();
+  return n;
 }
 
 Network::Listener::Listener(Network& net, Device& dev, uint32_t service_id,

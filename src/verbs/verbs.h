@@ -228,8 +228,10 @@ struct RecvWr {
 
 // Internal: one operation in flight on the wire. Pooled by the Network so
 // fabric callbacks capture only {network, op} — two pointers, well within
-// the fabric's inline callback storage. Acquired at doorbell time,
-// released exactly once when the op's last wire event fires.
+// the fabric's inline callback storage. Acquired at doorbell time on the
+// initiator's partition and released exactly once, on that partition,
+// when the op completes there (response or RC ack delivered, or the
+// request/response dropped) — see QueuePair::FinishOp.
 struct WireOp {
   QueuePair* initiator = nullptr;
   SendWr wr;  // chain pointer cleared; SGE array owned by value
@@ -237,12 +239,13 @@ struct WireOp {
   uint32_t src_node = 0;
   uint32_t dst_node = 0;
   uint32_t dst_qp = 0;
-  // Partitioned mode: the op's data travels in this bounce buffer instead
-  // of being read through raw SGE/MR pointers at the far end, so no
-  // partition ever touches another partition's memory. Gathered from the
-  // source SGEs at doorbell time (SEND/WRITE), or filled from the target
-  // MR at execute time (READ response). Capacity persists across pool
-  // reuse. Legacy mode leaves it empty and copies directly, as before.
+  // The op's data travels in this bounce buffer instead of being read
+  // through raw SGE/MR pointers at the far end, so no partition ever
+  // touches another partition's memory. Gathered from the source SGEs at
+  // doorbell time (SEND/WRITE), or filled from the target MR at execute
+  // time (READ response); the snapshot instant is part of the timeline,
+  // since it decides which bytes a racing access sees. Capacity persists
+  // across pool reuse.
   std::vector<std::byte> payload;
   // Wire trip stamps accumulated as the op crosses each boundary; copied
   // onto the initiator-side WorkCompletion (via the ack / response path).
@@ -402,9 +405,9 @@ class QueuePair {
     uint32_t src_node;
     CompletionFn on_executed;
     bool data_already_placed;
-    // Partitioned mode: the parked SEND's data (the initiator's buffers
-    // may be reused the instant its completion fires, so the RNR buffer
-    // must own a copy). Empty in legacy mode.
+    // The parked SEND's data (the initiator's buffers may be reused the
+    // instant its completion fires, so the RNR buffer must own a copy).
+    // Empty for WRITE_WITH_IMM, whose data is already placed.
     std::vector<std::byte> payload;
   };
 
@@ -418,12 +421,14 @@ class QueuePair {
   void IssueDoorbell(uint64_t first_seq, uint32_t count);
   // Target-side execution of an arriving op (scheduler context). `this`
   // is the *initiator* QP; `tqp` the target QP (only used for two-sided).
-  // Takes ownership of `op` (released when its last wire event fires).
+  // Takes ownership of `op`, which every path hands back to FinishOp on
+  // the initiator's partition (directly, or when the RC ack or response
+  // delivers).
   void ExecuteAtTarget(Network& net, Device& target, QueuePair& tqp,
                        WireOp* op);
   // Target side of SEND / WRITE_WITH_IMM: consume a RECV or park in RNR.
-  // `payload` carries the data in partitioned mode (bounce buffer, moved
-  // into the RNR entry if parked); empty in legacy mode.
+  // `payload` carries a SEND's data (the bounce buffer, moved into the
+  // RNR entry if parked); empty when the data is already placed.
   void AcceptSend(const SendWr& wr, uint32_t src_node,
                   CompletionFn on_executed, bool data_already_placed,
                   std::vector<std::byte> payload = {});
@@ -435,20 +440,19 @@ class QueuePair {
   // instant the CQE actually enters the CQ — which for entries held by
   // in-order draining is later than the ack arrival).
   void CompleteSq(uint64_t seq, WcStatus status, uint32_t byte_len,
-                  WireStamps stamps = {});
-  // Same, callable from any partition: routes to the initiator's
-  // partition when the caller runs elsewhere (target-side execution,
-  // response drops), at the current virtual instant — the modelled
-  // completion time is unchanged, only the mutation site moves. Legacy
-  // mode calls CompleteSq directly, byte-identical to before.
-  void CompleteSqFromWire(uint64_t seq, WcStatus status, uint32_t byte_len,
-                          WireStamps stamps = {});
+                  WireStamps stamps);
+  // Completes `op`'s sq entry with op->stamps and releases `op` into the
+  // pool it was taken from. Both belong to the initiator's partition, so
+  // a caller elsewhere (target-side errors, dropped responses) is routed
+  // there at the current virtual instant — the modelled completion time
+  // is unchanged, only the mutation site moves.
+  void FinishOp(Network& net, WireOp* op, WcStatus status, uint32_t byte_len);
   // Initiator-side completion delivered by an RC ack message from the
   // target: write/send completions ride the fabric back like read and
-  // atomic responses, so no cross-node completion is zero-latency.
-  void CompleteSqViaAck(Network& net, uint32_t target_node, uint64_t seq,
-                        WcStatus status, uint32_t byte_len,
-                        WireStamps stamps = {});
+  // atomic responses, so no cross-node completion is zero-latency. `op`
+  // is held until the ack delivers (or drops) and then finished.
+  void CompleteSqViaAck(Network& net, uint32_t target_node, WireOp* op,
+                        WcStatus status, uint32_t byte_len);
   void FlushAll(WcStatus status);
   void EnterError();
 
@@ -520,8 +524,8 @@ class Device {
   uint32_t next_key_ = 1;
   // QP numbers are allocated per device (FindQp is per-device, and both
   // CreateQueuePair call sites — client connect, server accept — run on
-  // the owning node's partition), so numbering is deterministic under the
-  // partitioned scheduler regardless of host-thread interleaving.
+  // the owning node's partition), so numbering is deterministic
+  // regardless of host-thread interleaving.
   uint32_t next_qp_index_ = 0;
 
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
@@ -550,6 +554,9 @@ class Network {
   [[nodiscard]] const sim::CpuCostModel& cpu_model() const noexcept {
     return cpu_;
   }
+  // WireOps ever allocated across all partition pools: the peak number in
+  // flight at once when every op returns to the pool it came from.
+  [[nodiscard]] size_t wire_ops_allocated() const noexcept;
 
   // --- Connection management (rdma_cm flavoured) ---------------------
   // A Listener accepts connections on (node, service_id). Accept blocks
@@ -599,13 +606,12 @@ class Network {
   friend class Device;
 
   // Wire-op pool (stable storage + freelist); see WireOp. One pool per
-  // partition index so concurrent partitions never contend — acquired
-  // from the doorbell-ringing partition, released into whichever
-  // partition fires the op's last wire event (pool membership does not
-  // affect the timeline). Legacy mode uses pool 0 only.
+  // partition index so concurrent partitions never contend. An op is
+  // acquired and released on the initiator's partition, so each pool gets
+  // its ops back; pool membership does not affect the timeline.
   WireOp* AcquireWireOp();
   void ReleaseWireOp(WireOp* op);
-  void PrepareForPartitionedRun();
+  void PrepareForRun();
 
   sim::Simulation& sim_;
   sim::Fabric fabric_;

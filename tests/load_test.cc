@@ -221,15 +221,15 @@ TEST(LoadEngineTest, SmokeCompletesEveryArrivalAtLowLoad) {
 TEST(LoadEngineTest, VirtualTimeIsBitIdenticalAcrossHostThreads) {
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;  // some queueing, so ordering is stressed
-  const RunResult legacy = RunEngine(opts, 0);
-  for (uint32_t threads : {1u, 2u}) {
+  const RunResult ref = RunEngine(opts, 1);
+  for (uint32_t threads : {2u, 4u}) {
     const RunResult part = RunEngine(opts, threads);
-    EXPECT_EQ(part.virtual_nanos, legacy.virtual_nanos)
+    EXPECT_EQ(part.virtual_nanos, ref.virtual_nanos)
         << "host_threads=" << threads;
-    EXPECT_EQ(part.stats.completed, legacy.stats.completed);
-    EXPECT_EQ(part.stats.retries, legacy.stats.retries);
+    EXPECT_EQ(part.stats.completed, ref.stats.completed);
+    EXPECT_EQ(part.stats.retries, ref.stats.retries);
     EXPECT_EQ(part.stats.latency.Quantile(0.999),
-              legacy.stats.latency.Quantile(0.999));
+              ref.stats.latency.Quantile(0.999));
   }
 }
 
@@ -344,16 +344,16 @@ TEST(LoadEngineTest, RtraceReservoirRetainsTheTrueSlowestOp) {
 
 TEST(LoadEngineTest, RtraceModesAreProbeFree) {
   // The probe-effect contract: rtrace off / sampled / full land on the
-  // same virtual end time, on the legacy and the partitioned scheduler.
+  // same virtual end time, on one host worker and on several.
   LoadOptions opts = SmallOptions();
   opts.offered_load = 400e3;
   opts.rtrace.mode = obs::RtraceMode::kOff;
-  const RunResult ref = RunEngine(opts, 0);
+  const RunResult ref = RunEngine(opts, 1);
   for (const obs::RtraceMode mode :
        {obs::RtraceMode::kOff, obs::RtraceMode::kSampled,
         obs::RtraceMode::kFull}) {
-    for (const uint32_t threads : {0u, 1u, 2u}) {
-      if (mode == obs::RtraceMode::kOff && threads == 0) continue;
+    for (const uint32_t threads : {1u, 2u}) {
+      if (mode == obs::RtraceMode::kOff && threads == 1) continue;
       LoadOptions o = opts;
       o.rtrace.mode = mode;
       const RunResult r = RunEngine(o, threads);

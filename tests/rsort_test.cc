@@ -87,8 +87,10 @@ ClusterConfig SortCluster(uint32_t workers, uint64_t capacity_mb = 96) {
   return cfg;
 }
 
+// Both fields are 64-bit so the struct has no padding: gtest prints the raw
+// bytes of the param into the test name, and padding bytes are stack garbage.
 struct SortCase {
-  uint32_t workers;
+  uint64_t workers;
   uint64_t records;
 };
 
@@ -96,19 +98,20 @@ class SortFixture : public ::testing::TestWithParam<SortCase> {};
 
 TEST_P(SortFixture, SortsAndPreservesMultiset) {
   const SortCase p = GetParam();
-  TestCluster cluster(SortCluster(p.workers));
+  const auto workers = static_cast<uint32_t>(p.workers);
+  TestCluster cluster(SortCluster(workers));
   int done = 0;
-  for (uint32_t w = 0; w < p.workers; ++w) {
+  for (uint32_t w = 0; w < workers; ++w) {
     cluster.SpawnClient(w, [&, w](RStoreClient& client) {
       SortConfig cfg;
       cfg.worker_id = w;
-      cfg.num_workers = p.workers;
+      cfg.num_workers = workers;
       cfg.total_records = p.records;
       cfg.seed = 77;
       SortWorker worker(client, cfg);
       ASSERT_TRUE(worker.GenerateInput().ok());
       ASSERT_TRUE(client.NotifyInc("gen").ok());
-      ASSERT_TRUE(client.WaitNotify("gen", p.workers).ok());
+      ASSERT_TRUE(client.WaitNotify("gen", workers).ok());
       auto stats = worker.Sort();
       ASSERT_TRUE(stats.ok()) << stats.status();
       if (w == 0) {
@@ -118,7 +121,7 @@ TEST_P(SortFixture, SortsAndPreservesMultiset) {
     });
   }
   cluster.sim().Run();
-  EXPECT_EQ(done, static_cast<int>(p.workers));
+  EXPECT_EQ(done, static_cast<int>(workers));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,10 @@ TEST(SimulationTest, ThreadsInterleaveDeterministically) {
   // Two runs with the same seed produce the same interleaving. The trace
   // is ONE host vector shared by threads on three nodes: the global order
   // of same-instant pushes from different partitions is defined only
-  // under serialized dispatch (virtual time is deterministic either way),
-  // so pin serialize_dispatch for the partitioned-scheduler gate.
+  // when one worker dispatches (virtual time is deterministic either way),
+  // so pin host_threads = 1 for the multi-worker gate.
   auto run = [] {
-    Simulation sim(SimConfig{.seed = 77, .serialize_dispatch = true});
+    Simulation sim(SimConfig{.seed = 77, .host_threads = 1});
     std::vector<std::string> trace;
     for (int i = 0; i < 3; ++i) {
       Node& n = sim.AddNode("n" + std::to_string(i));
@@ -90,20 +91,17 @@ TEST(SimulationTest, SameInstantEventsRunInScheduleOrder) {
 
 // THE equal-vtime tie-break rule, documented on Event in sim/simulation.h:
 // events at one virtual instant dispatch in FIFO order of *scheduling* —
-// the heap orders by (t, seq) and thread wakes and plain callbacks share
-// one seq counter, so kind never matters. The baseline exploration policy
-// must preserve exactly this order (its pick 0 *is* this order).
+// each partition's heap orders by (t, seq) and thread wakes and plain
+// callbacks share the partition's seq counter, so kind never matters.
+// Cross-partition wakes merge at the epoch barrier instead, behind the
+// source partition's same-instant work. The baseline exploration policy
+// must preserve exactly these orders (its pick 0 *is* this order).
 TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
-  // This pins the *legacy* single-queue interleaving: a driver callback
-  // notifying a node-owned CondVar interleaved with same-instant driver
-  // callbacks shares one seq counter. Under the partitioned scheduler the
-  // driver and node "a" live on different partitions, so that interleaving
-  // cannot exist (cross-partition wakes merge at epoch boundaries) — the
-  // per-partition FIFO rule is pinned by partition_test.cc instead.
-  if (PartitionedEnvRequested()) {
-    GTEST_SKIP() << "pins legacy single-queue interleaving";
-  }
-  auto run = [](explore::SchedulePolicy* policy) {
+  // A callback at t=100 interleaves thread wakes with plain callbacks at
+  // the same instant: wake(w0), cb(0), wake(w1), cb(1). `on_node` runs it
+  // on node "a"'s partition, where the waiters live; otherwise it runs on
+  // the driver's partition 0.
+  auto run = [](explore::SchedulePolicy* policy, bool on_node) {
     Simulation sim;
     if (policy != nullptr) sim.AttachPolicy(policy);
     Node& n = sim.AddNode("a");
@@ -115,21 +113,63 @@ TEST(SimulationTest, SameInstantEventsDispatchInFifoOrder) {
         order.push_back(10 + i);
       });
     }
-    // From a driver callback at t=100, interleave thread wakes with plain
-    // callbacks at the same instant: wake(w0), cb(0), wake(w1), cb(1).
-    sim.At(100, [&] {
+    auto interleave = [&] {
       cv.NotifyOne();
       sim.At(100, [&] { order.push_back(0); });
       cv.NotifyOne();
       sim.At(100, [&] { order.push_back(1); });
-    });
+    };
+    if (on_node) {
+      sim.PostToNode(n.id(), 100, interleave);
+    } else {
+      sim.At(100, interleave);
+    }
     sim.Run();
     return order;
   };
-  const std::vector<int> expected{10, 0, 11, 1};
-  EXPECT_EQ(run(nullptr), expected);
+  // One partition: one seq counter, FIFO across kinds.
+  const std::vector<int> same_partition{10, 0, 11, 1};
+  // The driver's callbacks finish the instant on partition 0 before the
+  // wakes merge into node "a"'s queue at the epoch barrier.
+  const std::vector<int> cross_partition{0, 1, 10, 11};
+  EXPECT_EQ(run(nullptr, true), same_partition);
+  EXPECT_EQ(run(nullptr, false), cross_partition);
   explore::BaselinePolicy baseline;
-  EXPECT_EQ(run(&baseline), expected);
+  EXPECT_EQ(run(&baseline, true), same_partition);
+  EXPECT_EQ(run(&baseline, false), cross_partition);
+}
+
+// RSTORE_HOST_THREADS sets the worker count when SimConfig leaves it 0.
+// Values that are not a positive integer are reported and mean 1.
+TEST(SimulationTest, HostThreadsEnvIsValidated) {
+  std::string saved;
+  const char* prev = std::getenv("RSTORE_HOST_THREADS");
+  if (prev != nullptr) saved = prev;
+  auto resolve = [](const char* value, std::string* err) {
+    setenv("RSTORE_HOST_THREADS", value, /*overwrite=*/1);
+    testing::internal::CaptureStderr();
+    const uint32_t n = Simulation().host_threads();
+    *err = testing::internal::GetCapturedStderr();
+    return n;
+  };
+  std::string err;
+  for (const char* bad : {"abc", "0", "-2", "3x", " "}) {
+    EXPECT_EQ(resolve(bad, &err), 1u) << "'" << bad << "'";
+    EXPECT_NE(err.find("RSTORE_HOST_THREADS"), std::string::npos)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(resolve("3", &err), 3u);
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(resolve("", &err), 1u);
+  EXPECT_EQ(err, "");
+  // An explicit worker count ignores the environment.
+  setenv("RSTORE_HOST_THREADS", "abc", /*overwrite=*/1);
+  EXPECT_EQ(Simulation(SimConfig{.host_threads = 2}).host_threads(), 2u);
+  if (prev != nullptr) {
+    setenv("RSTORE_HOST_THREADS", saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("RSTORE_HOST_THREADS");
+  }
 }
 
 TEST(SimulationTest, RunUntilStopsAtDeadline) {
