@@ -1,6 +1,7 @@
 #include "check/check.h"
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 
 namespace rstore::check {
@@ -12,6 +13,15 @@ namespace {
 thread_local int t_speculative = 0;
 thread_local int t_sync_cell = 0;
 thread_local const char* t_label = nullptr;
+
+// The entry of an interval map (lo -> entry with `hi`) holding `addr`.
+template <typename Map>
+auto Containing(Map& m, uint64_t addr) -> decltype(m.begin()) {
+  auto it = m.upper_bound(addr);
+  if (it == m.begin()) return m.end();
+  --it;
+  return addr < it->second.hi ? it : m.end();
+}
 
 void JsonEscape(std::ostream& os, std::string_view s) {
   for (char c : s) {
@@ -232,12 +242,8 @@ uint32_t Checker::OnPost(uint32_t initiator, uint32_t target, OpClass cls,
 Checker::RangeEntry* Checker::FindRange(uint32_t node, uint64_t addr) {
   auto nit = ranges_.find(node);
   if (nit == ranges_.end()) return nullptr;
-  auto& m = nit->second;
-  auto it = m.upper_bound(addr);
-  if (it == m.begin()) return nullptr;
-  --it;
-  if (addr >= it->second.hi) return nullptr;
-  return &it->second;
+  auto it = Containing(nit->second, addr);
+  return it == nit->second.end() ? nullptr : &it->second;
 }
 
 void Checker::CheckLifetime(const PendingOp& op) {
@@ -312,8 +318,8 @@ void Checker::CheckCacheContract(const PendingOp& op) {
             v.region_lo = vlo;
             v.region_hi = vhi;
             v.a.node = holder;
-            v.a.lo = vlo;
-            v.a.hi = vhi;
+            v.a.lo = vlo - e.region_off + it->first;  // absolute, as b's
+            v.a.hi = vhi - e.region_off + it->first;
             v.a.label = holder_label;
             v.b = MakeOpEndpoint(op, op.remote_lo, op.remote_hi,
                                  op.cls == OpClass::kRemoteAtomic
@@ -648,31 +654,46 @@ Endpoint Checker::MakeOpEndpoint(const PendingOp& op, uint64_t lo,
 
 void Checker::FillRegionInfo(Violation* v, uint32_t node, uint64_t lo,
                              uint64_t hi) {
-  RangeEntry* e = FindRange(node, lo);
-  if (e == nullptr) return;
-  v->region_id = e->region_id;
-  auto rit = regions_.find(e->region_id);
-  if (rit != regions_.end()) v->region_name = rit->second.name;
   auto nit = ranges_.find(node);
-  // Recover the range's base address to translate to region offsets.
-  auto it = nit->second.upper_bound(lo);
-  --it;
-  v->region_lo = lo - it->first + e->region_off;
-  v->region_hi = std::min(hi, e->hi) - it->first + e->region_off;
+  if (nit == ranges_.end()) return;
+  auto it = Containing(nit->second, lo);
+  if (it == nit->second.end()) return;
+  const RangeEntry& e = it->second;
+  v->region_id = e.region_id;
+  auto rit = regions_.find(e.region_id);
+  if (rit != regions_.end()) v->region_name = rit->second.name;
+  v->region_lo = lo - it->first + e.region_off;
+  v->region_hi = std::min(hi, e.hi) - it->first + e.region_off;
 }
 
 void Checker::Report(Violation v) { violations_.push_back(std::move(v)); }
 
-namespace {
-void PrintEndpoint(std::ostream& os, const char* tag, const Endpoint& e) {
+void Checker::Locate(std::ostream& os, uint32_t node, uint64_t lo,
+                     uint64_t hi) const {
+  // Host addresses differ between runs (a sanitizer's allocator places
+  // the arenas anew each time), so they never appear in a report: bytes
+  // outside every region are local buffers, named by size.
+  if (auto nit = ranges_.find(node); nit != ranges_.end()) {
+    if (auto it = Containing(nit->second, lo); it != nit->second.end()) {
+      const uint64_t off = lo - it->first + it->second.region_off;
+      os << " region " << it->second.region_id << " [" << off << ", "
+         << off + (hi - lo) << ')';
+      return;
+    }
+  }
+  os << " local buffer (" << hi - lo << " bytes)";
+}
+
+void Checker::PrintEndpoint(std::ostream& os, const char* tag,
+                            const Endpoint& e, uint32_t node) const {
   os << "  " << tag << ": node " << e.node << ' '
-     << (e.remote ? "remote " : "local ") << ToString(e.kind) << " ["
-     << e.lo << ", " << e.hi << ") at t=" << e.vtime << "ns";
+     << (e.remote ? "remote " : "local ") << ToString(e.kind);
+  if (e.hi > e.lo) Locate(os, node, e.lo, e.hi);
+  os << " at t=" << e.vtime << "ns";
   if (!e.label.empty()) os << " in " << e.label;
   if (e.pending) os << " (completion never observed)";
   os << '\n';
 }
-}  // namespace
 
 void Checker::PrintReports(std::ostream& os) const {
   for (const Violation& v : violations_) {
@@ -682,8 +703,9 @@ void Checker::PrintReports(std::ostream& os) const {
          << ", " << v.region_hi << ")";
     }
     os << '\n';
-    PrintEndpoint(os, "A", v.a);
-    PrintEndpoint(os, "B", v.b);
+    // Both endpoints touch the same memory, on the target node.
+    PrintEndpoint(os, "A", v.a, v.target_node);
+    PrintEndpoint(os, "B", v.b, v.target_node);
     if (!v.detail.empty()) os << "  " << v.detail << '\n';
   }
   os << "rcheck: " << violations_.size() << " violation(s)\n";

@@ -193,7 +193,9 @@ class Checker {
   [[nodiscard]] size_t violation_count() const noexcept {
     return violations_.size();
   }
-  // Human-readable two-endpoint reports, one block per violation.
+  // Human-readable two-endpoint reports, one block per violation. Byte
+  // ranges are named by region plus offset, never by host address, so a
+  // report reads the same in every run.
   void PrintReports(std::ostream& os) const;
   // Machine-readable dump consumed by tools/rcheck_report.
   void DumpJson(std::ostream& os) const;
@@ -282,6 +284,11 @@ class Checker {
                           AccessKind kind) const;
   void FillRegionInfo(Violation* v, uint32_t node, uint64_t lo,
                       uint64_t hi);
+  // Names [lo, hi) on `node` by region and offsets.
+  void Locate(std::ostream& os, uint32_t node, uint64_t lo,
+              uint64_t hi) const;
+  void PrintEndpoint(std::ostream& os, const char* tag, const Endpoint& e,
+                     uint32_t node) const;
   void Report(Violation v);
 
   static void IntervalAdd(IntervalSet& set, uint64_t lo, uint64_t hi);

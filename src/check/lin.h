@@ -32,10 +32,9 @@
 // Recording is not thread-safe; the simulator dispatches on one worker
 // while a checker is attached.
 //
-// Key ids: the load engine records its dense integer key ids directly;
-// the KvStore client path records StableHash64(key bytes). The two key
-// spaces must not be mixed against the same table in one simulation (no
-// current workload does).
+// Key ids: both RKV dataplanes (KvStore and the load engine) record
+// StableHash64(key bytes), so one history may hold ops of both against
+// the same table.
 #pragma once
 
 #include <cstddef>

@@ -11,8 +11,14 @@
 //     (+2) after the payload write. Readers validate that the version
 //     was even and unchanged around the payload read, so torn reads
 //     retry instead of returning garbage;
-//   * collisions use linear probing with tombstones; an all-zero slot
+//   * collisions use linear probing with tombstones; a never-used slot
 //     terminates a probe chain.
+//
+// The slot protocol is the IO-free machine in kv/slot_op.h. KvStore runs
+// it blocking over MappedRegion, with a validate-on-hit slot cache in
+// front of the probe reads and its own conflict policy (Drive in kv.cc;
+// DESIGN.md compares it with LoadEngine's): a Get re-reads a torn slot, a
+// Put or Delete skips it, and taking the lock gives up after 64 attempts.
 //
 // Every client maps the region once and then operates with no master
 // involvement: GET costs one slot read (plus a version validate), PUT a
@@ -23,68 +29,19 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "check/lin.h"
 #include "common/status.h"
 #include "core/client.h"
+#include "kv/slot_op.h"
+#include "obs/trace.h"
 
 namespace rstore::kv {
-
-// The on-region table format, public so other dataplanes (the open-loop
-// load engine in src/load composes slot IO with raw verbs, the bulk
-// loader composes whole table images locally) speak exactly the byte
-// layout KvStore reads and writes. Offsets are within one slot:
-//   0  u64 version   even = stable, odd = writer holds the seqlock;
-//                    0 with key_len 0 = never used (ends probe chains)
-//   8  u16 key_len   0 with version > 0 = tombstone
-//  10  u16 (pad)
-//  12  u32 val_len
-//  16  (pad to 24)
-//  24  key bytes, then value bytes
-// The region starts with a 64-byte header: magic, buckets, slot_bytes,
-// max_probe (see KvStore::Create).
-struct SlotLayout {
-  static constexpr uint64_t kMagic = 0x524b563144424d53ULL;  // "RKV1DBMS"
-  static constexpr uint64_t kHeaderBytes = 64;
-  static constexpr uint32_t kSlotHeader = 24;
-  static constexpr uint64_t kVersionOff = 0;
-  static constexpr uint64_t kKeyLenOff = 8;
-  static constexpr uint64_t kValLenOff = 12;
-  static constexpr uint64_t kPayloadOff = 24;
-
-  // Byte offset of `slot` within the region.
-  [[nodiscard]] static constexpr uint64_t SlotOffset(
-      uint64_t slot, uint32_t slot_bytes) noexcept {
-    return kHeaderBytes + slot * slot_bytes;
-  }
-  // Home slot of a key (the probe chain starts here).
-  [[nodiscard]] static uint64_t HomeSlot(std::string_view key,
-                                         uint64_t buckets) noexcept;
-  // Composes a stable slot image (even `version`, key, value) into
-  // `dst[0, slot_bytes)`. Requires key+value to fit the slot.
-  static void Compose(std::byte* dst, uint32_t slot_bytes, uint64_t version,
-                      std::string_view key,
-                      std::span<const std::byte> value) noexcept;
-};
-
-struct KvOptions {
-  uint64_t buckets = 4096;   // slots in the table (fixed at create time)
-  uint32_t slot_bytes = 256; // per-slot storage incl. 24-byte header
-  uint32_t max_probe = 16;   // linear-probe window before "table full"
-  // Client-local slot cache (0 = off; not part of the table geometry).
-  // A cached slot is validated on every hit with one 8-byte remote read
-  // of its seqlock word: version unchanged and even means the cached
-  // payload is byte-identical to the remote slot, so a hot GET costs one
-  // tiny read instead of a slot-sized read plus a validate read — and
-  // linearizability is untouched because the validate is exactly the
-  // seqlock check an uncached read performs.
-  uint32_t cache_slots = 0;
-};
 
 struct KvStats {
   uint64_t gets = 0;
@@ -131,39 +88,38 @@ class KvStore {
     return options_;
   }
   [[nodiscard]] uint32_t max_value_bytes() const noexcept {
-    return options_.slot_bytes - kSlotHeader;
+    return options_.slot_bytes - SlotLayout::kSlotHeader;
   }
 
  private:
-  static constexpr uint64_t kMagic = SlotLayout::kMagic;
-  static constexpr uint64_t kHeaderBytes = SlotLayout::kHeaderBytes;
-  static constexpr uint32_t kSlotHeader = SlotLayout::kSlotHeader;
-
   KvStore(core::RStoreClient& client, core::MappedRegion* region,
           KvOptions options);
+  // Allocates the IO buffer and binds the slot machine to it.
+  static Result<std::unique_ptr<KvStore>> Make(core::RStoreClient& client,
+                                               core::MappedRegion* region,
+                                               KvOptions options);
 
-  [[nodiscard]] uint64_t SlotOffset(uint64_t slot) const noexcept {
-    return kHeaderBytes + slot * options_.slot_bytes;
-  }
-  // Reads slot into scratch; returns its version word. Fails with
-  // kAborted when the slot's seqlock indicates a concurrent writer.
-  // Serves from the slot cache (validate-on-hit) when one is configured.
-  Result<uint64_t> ReadSlot(uint64_t slot, std::byte* dst);
-  // Unvalidated slot read, for re-checks while holding the seqlock.
-  Status ReadSlotRaw(uint64_t slot, std::byte* dst);
-  // Takes the slot's seqlock (even -> odd). Retries while writers hold
-  // it; fails after too many conflicts.
-  Result<uint64_t> LockSlot(uint64_t slot);
-  Status UnlockSlot(uint64_t slot, uint64_t locked_version);
+  // Runs op_ to completion with blocking IO and KvStore's conflict
+  // policy, filling a payload's value bytes from `value`. OK means
+  // op_.outcome() is final; an error is an IO failure or a conflict that
+  // outlasted its retries.
+  Status Drive(std::span<const std::byte> value);
+  // Performs `step` under the rcheck scope of its race class. A probe is
+  // served from the slot cache when the cached image is current, and then
+  // sets *from_cache.
+  Status Execute(const SlotStep& step, bool* from_cache);
+  Status ExecuteIo(const SlotIo& io);
 
-  struct SlotView {
-    uint64_t version;
-    uint16_t key_len;
-    uint32_t val_len;
-    const std::byte* key;
-    const std::byte* value;
-  };
-  [[nodiscard]] SlotView Parse(const std::byte* slot) const;
+  // Adds the home slot and its server to an active kv span.
+  void AttributeHome(obs::ObsSpan& span) const;
+  // rlin capture around an op: BeginLin returns the invocation time;
+  // RecordLin records an OK op as `kind` with `digest`, kNotFound as a
+  // read of absent, and a failure after the payload write as a pending
+  // write of `digest`.
+  uint64_t BeginLin();
+  void RecordLin(check::LinChecker* lin, uint64_t inv, std::string_view key,
+                 const Status& st, check::LinOpKind kind,
+                 uint64_t digest) const;
 
   // Op bodies; the public wrappers add rlin history capture (observe-only,
   // see check/lin.h) around them when the simulation has a LinChecker.
@@ -184,16 +140,15 @@ class KvStore {
   core::RStoreClient& client_;
   core::MappedRegion* region_;
   KvOptions options_;
-  core::PinnedBuffer scratch_{};  // one slot for reads
-  core::PinnedBuffer write_buf_{};
-  core::PinnedBuffer version_buf_{};  // 8-byte pinned word for seqlock IO
+  core::PinnedBuffer io_buf_{};  // the slot image, then the machine's cells
+  SlotOp op_;
   std::unordered_map<uint64_t, CachedSlot> slot_cache_;
   std::list<uint64_t> slot_lru_;  // front = most recently used
   KvStats stats_;
-  // Set by PutImpl/DeleteImpl once the payload/tombstone write has been
-  // posted: a failure after this point leaves the op's effect undefined,
-  // so the wrapper records it as *pending* (may have happened) rather
-  // than dropping it. KvStore is client-thread-local, so a plain bool.
+  // Set by Drive once the payload/tombstone write has been posted: a
+  // failure after this point leaves the op's effect undefined, so the
+  // wrapper records it as *pending* (may have happened) rather than
+  // dropping it. KvStore is client-thread-local, so a plain bool.
   bool lin_wrote_payload_ = false;
 };
 

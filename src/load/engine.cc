@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "check/lin.h"
+#include "kv/kv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/cost_model.h"
@@ -16,18 +18,21 @@ using kv::SlotLayout;
 
 namespace {
 
-uint64_t Load64(const std::byte* p) noexcept {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void Store64(std::byte* p, uint64_t v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
-}
-
 std::string_view KeyView(const std::byte* key) noexcept {
   return {reinterpret_cast<const char*>(key), 8};
+}
+
+// The verbs opcode of each kv::SlotIo::Op.
+constexpr verbs::Opcode kOpcodeOf[] = {verbs::Opcode::kRdmaRead,
+                                       verbs::Opcode::kRdmaWrite,
+                                       verbs::Opcode::kCompareSwap};
+
+kv::SlotOp::Kind SlotKindOf(OpType op) noexcept {
+  if (op == OpType::kUpdate || op == OpType::kInsert) {
+    return kv::SlotOp::Kind::kPut;
+  }
+  return op == OpType::kReadModifyWrite ? kv::SlotOp::Kind::kUpdate
+                                        : kv::SlotOp::Kind::kGet;
 }
 
 }  // namespace
@@ -83,17 +88,21 @@ size_t LoadEngine::Moderation() const noexcept {
   return std::min<size_t>(m, static_cast<size_t>(inflight_wrs_));
 }
 
-verbs::SendWr LoadEngine::ReadWr(const core::RemoteSpan& span, std::byte* dst,
-                                 uint32_t len, uint64_t cookie,
-                                 bool signaled) {
-  verbs::SendWr wr;
-  wr.wr_id = cookie;
-  wr.opcode = verbs::Opcode::kRdmaRead;
-  wr.local = {dst, len, arena_mr_->lkey()};
-  wr.remote_addr = span.remote_addr;
-  wr.rkey = span.rkey;
-  wr.signaled = signaled;
-  return wr;
+void LoadEngine::StagePieces(uint32_t s, Lane lane, const kv::SlotIo& io,
+                             bool signaled) {
+  const uint64_t cookie = Cookie(s);
+  for (const Piece& p : pieces_) {
+    verbs::SendWr wr;
+    wr.wr_id = signaled ? cookie : 0;
+    wr.local = {p.local, p.length, arena_mr_->lkey()};
+    wr.remote_addr = p.span.remote_addr;
+    wr.rkey = p.span.rkey;
+    wr.signaled = signaled;
+    wr.opcode = kOpcodeOf[static_cast<size_t>(io.op)];
+    wr.compare = io.compare;  // both zero unless a CAS
+    wr.swap_or_add = io.swap;
+    mux_.Stage(server_index_.at(p.span.server_node), s, lane, wr);
+  }
 }
 
 Status LoadEngine::CollectPieces(uint64_t offset, uint64_t length,
@@ -145,12 +154,9 @@ Status LoadEngine::Setup() {
   RSTORE_ASSIGN_OR_RETURN(core::PinnedBuffer hdr,
                           client_.AllocBuffer(SlotLayout::kHeaderBytes));
   RSTORE_RETURN_IF_ERROR(region_->Read(0, hdr.data));
-  if (Load64(hdr.begin()) != SlotLayout::kMagic) {
+  if (!SlotLayout::ReadHeader(hdr.begin(), &geometry_)) {
     return Status(ErrorCode::kInvalidArgument, "not an RKV table");
   }
-  geometry_.buckets = Load64(hdr.begin() + 8);
-  std::memcpy(&geometry_.slot_bytes, hdr.begin() + 16, 4);
-  std::memcpy(&geometry_.max_probe, hdr.begin() + 20, 4);
 
   // Dense server index in slab order (mux + admission addressing).
   for (const auto& slab : region_->desc().slabs) {
@@ -186,17 +192,21 @@ Status LoadEngine::Setup() {
         Rng(options_.seed ^ (0x2545f4914f6cdd1dULL * (gsid + 1)));
   }
 
-  // Scratch arena: per-session read/compose area plus three 8-byte cells
-  // (version validate, CAS result, unlock word).
+  // Scratch arena: per-session read/compose area (one slot image, or a
+  // scan run) plus the slot machine's 8-byte cells.
   const uint32_t slots =
       options_.mix.scan > 0.0 ? std::max(options_.scan_len, 1u) : 1u;
   read_area_ = static_cast<size_t>(geometry_.slot_bytes) * slots;
-  stride_ = (read_area_ + 24 + 7) & ~size_t{7};
+  stride_ = (read_area_ + kv::SlotOp::kCellBytes + 7) & ~size_t{7};
   arena_.assign(static_cast<size_t>(count) * stride_, std::byte{0});
   pd_ = &client_.device().CreatePd();
   RSTORE_ASSIGN_OR_RETURN(
       arena_mr_,
       pd_->RegisterMemory(arena_.data(), arena_.size(), verbs::kLocalWrite));
+  for (uint32_t s = 0; s < count; ++s) {
+    sessions_[s].slot =
+        kv::SlotOp(geometry_, Scratch(s), Scratch(s) + read_area_);
+  }
   stats_.sessions = count;
   stats_.qps = mux_.qp_count();
   if (options_.rtrace.mode != obs::RtraceMode::kOff) {
@@ -224,23 +234,23 @@ Status LoadEngine::PreloadTable(core::RStoreClient& client,
                           client.AllocBuffer(table_bytes));
   std::memset(img.begin(), 0, table_bytes);
   Rng values(options.seed ^ 0x6c078965ULL);
-  std::vector<std::byte> value(options.value_bytes);
+  check::LinChecker* lin = client.device().network().sim().lin();
   uint64_t placed = 0;
   for (uint64_t id = 0; id < options.preload_keys; ++id) {
     std::byte kb[8];
     EncodeKey(id, kb);
     const uint64_t home = SlotLayout::HomeSlot(KeyView(kb), geo.buckets);
     for (uint32_t p = 0; p < geo.max_probe; ++p) {
-      const uint64_t slot = (home + p) % geo.buckets;
-      std::byte* dst = img.begin() + slot * geo.slot_bytes;
-      if (Load64(dst + SlotLayout::kVersionOff) != 0) continue;
+      std::byte* dst =
+          img.begin() + (home + p) % geo.buckets * geo.slot_bytes;
+      if (!SlotLayout::Parse(dst).never_used()) continue;
+      const std::span<std::byte> value = SlotLayout::Compose(
+          dst, geo.slot_bytes, /*version=*/2, KeyView(kb),
+          options.value_bytes);
       values.Fill(value.data(), value.size());
-      SlotLayout::Compose(dst, geo.slot_bytes, /*version=*/2, KeyView(kb),
-                          value);
       // rlin: the preloaded value is the key's initial register state.
-      if (check::LinChecker* lin = client.device().network().sim().lin();
-          lin != nullptr) {
-        lin->RecordInit(id,
+      if (lin != nullptr) {
+        lin->RecordInit(StableHash64(KeyView(kb)),
                         check::LinChecker::Digest(value.data(), value.size()));
       }
       ++placed;
@@ -343,13 +353,12 @@ void LoadEngine::BeginOp(uint32_t s) {
   DrawKey(s);
   hotkeys_.Offer(ses.key_id);
   ses.retries_left = options_.op_retry_budget;
-  ses.probe = 0;
-  ses.reusable = -1;
-  ses.target = -1;
-  ses.failed = false;
+  // A scan only takes its home slot from the machine.
+  ses.slot.Begin(SlotKindOf(ses.op), KeyView(ses.key_bytes),
+                 options_.value_bytes);
+  ses.io_next = 0;
   ses.step_error = false;
-  ses.lin_staged = false;
-  ses.server_idx = ServerIndexOf(ses.home);
+  ses.server_idx = ServerIndexOf(ses.slot.home());
   switch (admission_->TryAdmit(ses.server_idx, s)) {
     case Admit::kAdmit:
       BeginAdmitted(s);
@@ -375,7 +384,7 @@ void LoadEngine::BeginAdmitted(uint32_t s) {
   if (sessions_[s].op == OpType::kScan) {
     StageScan(s);
   } else {
-    StageProbe(s);
+    StageStep(s);
   }
 }
 
@@ -393,233 +402,89 @@ void LoadEngine::DrawKey(uint32_t s) {
     ses.key_id = zipf_->Next();
   }
   EncodeKey(ses.key_id, ses.key_bytes);
-  ses.home = SlotLayout::HomeSlot(KeyView(ses.key_bytes), geometry_.buckets);
 }
 
 // ---------------------------------------------------------------------------
-// Op state machine: staging.
+// Op state machine: the slot protocol, run asynchronously.
 
-void LoadEngine::StageProbe(uint32_t s) {
+void LoadEngine::StageStep(uint32_t s) {
   Session& ses = sessions_[s];
-  const uint64_t slot = (ses.home + ses.probe) % geometry_.buckets;
-  std::byte* scratch = Scratch(s);
-  if (Status st =
-          CollectPieces(SlotOffset(slot), geometry_.slot_bytes, scratch);
-      !st.ok()) {
-    FinishOp(s, false);
-    return;
-  }
+  const kv::SlotStep step = ses.slot.step();
   ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  if (pieces_.size() == 1) {
-    // Common case: the slot lives in one slab. Chain the full-slot read
-    // and the 8-byte version re-read on the same QP — RC execution order
-    // makes the re-read observe any version change that raced the slot
-    // read, which is the seqlock validation, in a single round trip.
-    const Piece& p = pieces_[0];
-    const uint32_t si = server_index_.at(p.span.server_node);
-    mux_.Stage(si, s, Lane::kSpeculative,
-               ReadWr(p.span, p.local, p.length, 0, /*signaled=*/false));
-    mux_.Stage(si, s, Lane::kSpeculative,
-               ReadWr(p.span, scratch + read_area_, 8, cookie,
-                      /*signaled=*/true));
-    ses.pending = 1;
-    inflight_wrs_ += 1;
-    ses.phase = Phase::kProbe;
-  } else {
-    // Slab-straddling slot: pieces may land on different QPs, so chained
-    // ordering cannot carry the validation — read the pieces first, then
-    // issue the version re-read as its own step (kProbeVerify).
-    for (const Piece& p : pieces_) {
-      mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kSpeculative,
-                 ReadWr(p.span, p.local, p.length, cookie,
-                        /*signaled=*/true));
+  // A probe (the slot read, then the re-read of the version word it
+  // starts with) rides one round trip when the slot lies in one slab: both
+  // go to one QP, whose in-order execution makes the re-read the seqlock
+  // validation. A slab-straddling slot may span QPs, so the pair then
+  // splits into two round trips.
+  uint32_t i = ses.io_next;
+  for (;; ++i) {
+    const kv::SlotIo& io = step.io[i];
+    if (Status st = CollectPieces(io.offset, io.length, io.local); !st.ok()) {
+      FinishOp(s, false);
+      return;
     }
-    ses.pending = static_cast<uint32_t>(pieces_.size());
-    inflight_wrs_ += pieces_.size();
-    ses.phase = Phase::kProbePieces;
-  }
-}
-
-void LoadEngine::StageProbeVerify(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t slot = (ses.home + ses.probe) % geometry_.buckets;
-  auto span = region_->Resolve(SlotOffset(slot) + SlotLayout::kVersionOff, 8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSpeculative,
-             ReadWr(*span, Scratch(s) + read_area_, 8, Cookie(s),
-                    /*signaled=*/true));
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kProbeVerify;
-}
-
-void LoadEngine::StageLockPeek(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSpeculative,
-             ReadWr(*span, Scratch(s) + read_area_, 8, Cookie(s),
-                    /*signaled=*/true));
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kLockPeek;
-}
-
-void LoadEngine::StageLockCas(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  verbs::SendWr wr;
-  wr.wr_id = Cookie(s);
-  wr.opcode = verbs::Opcode::kCompareSwap;
-  wr.local = {Scratch(s) + read_area_ + 8, 8, arena_mr_->lkey()};
-  wr.remote_addr = span->remote_addr;
-  wr.rkey = span->rkey;
-  wr.compare = ses.lock_compare;
-  wr.swap_or_add = ses.lock_compare + 1;  // even -> odd: locked
-  wr.signaled = true;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kPlain, wr);
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kLockCas;
-}
-
-void LoadEngine::StageRecheck(uint32_t s) {
-  Session& ses = sessions_[s];
-  std::byte* scratch = Scratch(s);
-  // The slot is locked, so a plain (checked) read is safe. The version
-  // word is ours — zero the local copy and read from key_len onward.
-  Store64(scratch + SlotLayout::kVersionOff, 0);
-  if (Status st = CollectPieces(
-          SlotOffset(static_cast<uint64_t>(ses.target)) +
-              SlotLayout::kKeyLenOff,
-          geometry_.slot_bytes - SlotLayout::kKeyLenOff,
-          scratch + SlotLayout::kKeyLenOff);
-      !st.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kPlain,
-               ReadWr(p.span, p.local, p.length, cookie, /*signaled=*/true));
+    const bool chained = i + 1 < step.count && pieces_.size() == 1;
+    StagePieces(s, step.race, io, /*signaled=*/!chained);
+    if (!chained) break;
   }
   ses.pending = static_cast<uint32_t>(pieces_.size());
   inflight_wrs_ += pieces_.size();
-  ses.phase = Phase::kRecheck;
+  ses.io_next = i + 1 < step.count ? i + 1 : 0;
+  ses.phase = Phase::kSlot;
 }
 
-void LoadEngine::StageWrite(uint32_t s) {
+void LoadEngine::OnStepDone(uint32_t s) {
   Session& ses = sessions_[s];
-  std::byte* img = Scratch(s);
-  // Compose the new slot image in place (the recheck bytes are spent) and
-  // write everything from key_len onward; the locked version word is
-  // untouched until the release.
-  std::memset(img, 0, SlotLayout::kSlotHeader);
-  const uint16_t key_len = 8;
-  const uint32_t val_len = options_.value_bytes;
-  std::memcpy(img + SlotLayout::kKeyLenOff, &key_len, sizeof(key_len));
-  std::memcpy(img + SlotLayout::kValLenOff, &val_len, sizeof(val_len));
-  std::memcpy(img + SlotLayout::kPayloadOff, ses.key_bytes, key_len);
-  ses.rng.Fill(img + SlotLayout::kPayloadOff + key_len, val_len);
-  const uint64_t write_len =
-      SlotLayout::kSlotHeader - SlotLayout::kKeyLenOff + key_len + val_len;
-  if (Status st = CollectPieces(
-          SlotOffset(static_cast<uint64_t>(ses.target)) +
-              SlotLayout::kKeyLenOff,
-          write_len, img + SlotLayout::kKeyLenOff);
-      !st.ok()) {
-    FinishOp(s, false);
+  kv::SlotOp& op = ses.slot;
+  switch (op.Complete()) {
+    case kv::SlotResult::kNext:
+      if (op.phase() == kv::SlotPhase::kWrite) {
+        // The value is drawn from the session's stream as it is composed.
+        const std::span<std::byte> value = op.value();
+        ses.rng.Fill(value.data(), value.size());
+      }
+      StageStep(s);
+      return;
+    case kv::SlotResult::kTorn:      // torn or locked slot: re-probe it
+    case kv::SlotResult::kLockHeld:  // someone holds the lock: re-peek
+      RetryOp(s, /*backoff=*/true);
+      return;
+    case kv::SlotResult::kCasLost:
+      // If the winner still holds the lock, back off; otherwise re-peek
+      // immediately (same scheduling round).
+      RetryOp(s, /*backoff=*/op.cas_winner_holds());
+      return;
+    case kv::SlotResult::kDone:
+      break;
+  }
+  if (op.outcome() == kv::SlotOutcome::kClaimed) {
+    // The slot changed hands between the probe and the lock (the lock is
+    // released): walk the chain again from the home slot, which may have
+    // shifted.
+    op.Restart();
+    RetryOp(s, /*backoff=*/true);
     return;
   }
-  ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    verbs::SendWr wr;
-    wr.wr_id = cookie;
-    wr.opcode = verbs::Opcode::kRdmaWrite;
-    wr.local = {p.local, p.length, arena_mr_->lkey()};
-    wr.remote_addr = p.span.remote_addr;
-    wr.rkey = p.span.rkey;
-    // Signaled: the release below must not be posted until this write's
-    // completion is polled, both for the seqlock protocol and so rcheck
-    // sees the payload write retired before the release edge.
-    wr.signaled = true;
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kPlain, wr);
-  }
-  ses.pending = static_cast<uint32_t>(pieces_.size());
-  inflight_wrs_ += pieces_.size();
-  // rlin: the payload leaves the client here. Recorded as the op's write
-  // digest on success, or as a pending maybe-write if the op fails after
-  // this point.
-  if (lin_ != nullptr) {
-    ses.lin_write_digest = check::LinChecker::Digest(
-        img + SlotLayout::kPayloadOff + key_len, val_len);
-    ses.lin_staged = true;
-  }
-  ses.phase = Phase::kWrite;
-}
-
-void LoadEngine::StageUnlock(uint32_t s) {
-  Session& ses = sessions_[s];
-  auto span = region_->Resolve(
-      SlotOffset(static_cast<uint64_t>(ses.target)) + SlotLayout::kVersionOff,
-      8);
-  if (!span.ok()) {
-    FinishOp(s, false);
-    return;
-  }
-  std::byte* cell = Scratch(s) + read_area_ + 16;
-  Store64(cell, ses.locked_version + 1);  // odd -> next even: released
-  ++ses.gen;
-  verbs::SendWr wr;
-  wr.wr_id = Cookie(s);
-  wr.opcode = verbs::Opcode::kRdmaWrite;
-  wr.local = {cell, 8, arena_mr_->lkey()};
-  wr.remote_addr = span->remote_addr;
-  wr.rkey = span->rkey;
-  wr.signaled = true;
-  mux_.Stage(server_index_.at(span->server_node), s, Lane::kSyncCell, wr);
-  ses.pending = 1;
-  inflight_wrs_ += 1;
-  ses.phase = Phase::kUnlock;
+  // A full probe window fails the op; a miss completes it as not found.
+  FinishOp(s, op.outcome() != kv::SlotOutcome::kFull,
+           /*found=*/op.outcome() != kv::SlotOutcome::kNotFound);
 }
 
 void LoadEngine::StageScan(uint32_t s) {
   Session& ses = sessions_[s];
-  const uint64_t count =
-      std::min<uint64_t>(std::max(options_.scan_len, 1u),
-                         geometry_.buckets - ses.home);
-  if (Status st = CollectPieces(SlotOffset(ses.home),
-                                count * geometry_.slot_bytes, Scratch(s));
+  const uint64_t home = ses.slot.home();
+  const uint64_t count = std::min<uint64_t>(std::max(options_.scan_len, 1u),
+                                            geometry_.buckets - home);
+  const kv::SlotIo run{kv::SlotIo::Op::kRead, SlotOffset(home),
+                       static_cast<uint32_t>(count * geometry_.slot_bytes),
+                       Scratch(s)};
+  if (Status st = CollectPieces(run.offset, run.length, run.local);
       !st.ok()) {
     FinishOp(s, false);
     return;
   }
   ++ses.gen;
-  const uint64_t cookie = Cookie(s);
-  for (const Piece& p : pieces_) {
-    mux_.Stage(server_index_.at(p.span.server_node), s, Lane::kSpeculative,
-               ReadWr(p.span, p.local, p.length, cookie, /*signaled=*/true));
-  }
+  StagePieces(s, Lane::kSpeculative, run, /*signaled=*/true);
   ses.pending = static_cast<uint32_t>(pieces_.size());
   inflight_wrs_ += pieces_.size();
   ses.phase = Phase::kScan;
@@ -652,150 +517,22 @@ void LoadEngine::HandleCompletion(const verbs::WorkCompletion& wc) {
     return;
   }
   switch (ses.phase) {
-    case Phase::kProbe:
-    case Phase::kProbeVerify:
-      OnProbeDone(s);
-      break;
-    case Phase::kProbePieces:
-      StageProbeVerify(s);
-      break;
-    case Phase::kLockPeek:
-      OnLockPeekDone(s);
-      break;
-    case Phase::kLockCas:
-      OnLockCasDone(s);
-      break;
-    case Phase::kRecheck:
-      OnRecheckDone(s);
-      break;
-    case Phase::kWrite:
-      StageUnlock(s);
-      break;
-    case Phase::kUnlock:
-      OnUnlockDone(s);
+    case Phase::kSlot:
+      if (ses.io_next > 0) {
+        StageStep(s);  // the second round trip of a split step
+      } else {
+        OnStepDone(s);
+      }
       break;
     case Phase::kScan:
-      OnScanDone(s);
+      // Best-effort snapshot scan (no per-slot seqlock validation); the
+      // read itself rode the speculative lane so rcheck knows it may race.
+      FinishOp(s, true);
       break;
     default:
       ++stats_.stale_completions;
       break;
   }
-}
-
-void LoadEngine::OnProbeDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const std::byte* scratch = Scratch(s);
-  const uint64_t v_slot = Load64(scratch + SlotLayout::kVersionOff);
-  const uint64_t v_check = Load64(scratch + read_area_);
-  if ((v_slot & 1) != 0 || v_check != v_slot) {
-    RetryOp(s, /*backoff=*/true);  // torn or locked: seqlock retry
-    return;
-  }
-  uint16_t key_len;
-  std::memcpy(&key_len, scratch + SlotLayout::kKeyLenOff, sizeof(key_len));
-  const bool writes = ses.op == OpType::kUpdate || ses.op == OpType::kInsert;
-
-  if (v_slot == 0 && key_len == 0) {
-    // Never-used slot: the probe chain ends here.
-    if (!writes) {
-      FinishOp(s, true, /*found=*/false);
-    } else {
-      ses.target = ses.reusable >= 0
-                       ? ses.reusable
-                       : static_cast<int64_t>(
-                             (ses.home + ses.probe) % geometry_.buckets);
-      StageLockPeek(s);
-    }
-    return;
-  }
-  if (key_len == 8 &&
-      std::memcmp(scratch + SlotLayout::kPayloadOff, ses.key_bytes, 8) == 0) {
-    if (ses.op == OpType::kRead) {
-      FinishOp(s, true);
-    } else {
-      ses.target =
-          static_cast<int64_t>((ses.home + ses.probe) % geometry_.buckets);
-      StageLockPeek(s);
-    }
-    return;
-  }
-  if (key_len == 0 && ses.reusable < 0) {
-    // Tombstone: remember it for inserts, keep probing (the key may live
-    // further along the chain).
-    ses.reusable =
-        static_cast<int64_t>((ses.home + ses.probe) % geometry_.buckets);
-  }
-  if (++ses.probe >= geometry_.max_probe) {
-    if (!writes) {
-      FinishOp(s, true, /*found=*/false);
-    } else if (ses.reusable >= 0) {
-      ses.target = ses.reusable;
-      StageLockPeek(s);
-    } else {
-      FinishOp(s, false);  // probe window full
-    }
-    return;
-  }
-  StageProbe(s);
-}
-
-void LoadEngine::OnLockPeekDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t ver = Load64(Scratch(s) + read_area_);
-  if ((ver & 1) != 0) {
-    RetryOp(s, /*backoff=*/true);  // someone holds the lock
-    return;
-  }
-  ses.lock_compare = ver;
-  StageLockCas(s);
-}
-
-void LoadEngine::OnLockCasDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const uint64_t old = Load64(Scratch(s) + read_area_ + 8);
-  if (old == ses.lock_compare) {
-    ses.locked_version = ses.lock_compare + 1;
-    StageRecheck(s);
-    return;
-  }
-  // CAS lost. If the winner still holds the lock, back off; otherwise
-  // re-peek immediately (same scheduling round).
-  RetryOp(s, /*backoff=*/(old & 1) != 0);
-}
-
-void LoadEngine::OnRecheckDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  const std::byte* scratch = Scratch(s);
-  uint16_t key_len;
-  std::memcpy(&key_len, scratch + SlotLayout::kKeyLenOff, sizeof(key_len));
-  const bool ours =
-      key_len == 8 &&
-      std::memcmp(scratch + SlotLayout::kPayloadOff, ses.key_bytes, 8) == 0;
-  if (ours || key_len == 0) {
-    StageWrite(s);
-    return;
-  }
-  // The slot changed hands between the probe and the lock: release it and
-  // restart the whole op.
-  ses.failed = true;
-  StageUnlock(s);
-}
-
-void LoadEngine::OnUnlockDone(uint32_t s) {
-  Session& ses = sessions_[s];
-  if (ses.failed) {
-    ses.failed = false;
-    RetryOp(s, /*backoff=*/true);
-    return;
-  }
-  FinishOp(s, true);
-}
-
-void LoadEngine::OnScanDone(uint32_t s) {
-  // Best-effort snapshot scan (no per-slot seqlock validation); the read
-  // itself rode the speculative lane so rcheck knows it may race.
-  FinishOp(s, true);
 }
 
 void LoadEngine::RetryOp(uint32_t s, bool backoff) {
@@ -806,29 +543,14 @@ void LoadEngine::RetryOp(uint32_t s, bool backoff) {
     return;
   }
   --ses.retries_left;
-  // Lock-path conflicts resume at the peek (the target slot is known);
-  // everything else restarts the probe where it stood. A post-recheck
-  // restart re-probes from the home slot: the chain may have shifted.
-  Phase resume = Phase::kProbe;
-  if ((ses.phase == Phase::kLockPeek || ses.phase == Phase::kLockCas) &&
-      ses.target >= 0) {
-    resume = Phase::kLockPeek;
-  } else if (ses.phase == Phase::kUnlock) {
-    ses.probe = 0;
-    ses.reusable = -1;
-    ses.target = -1;
-  }
+  // The machine already stands at the step to retry: the torn slot, or
+  // the lock peek of the known target.
   if (backoff) {
-    ses.resume = resume;
     ses.phase = Phase::kBackoff;
     retries_.push({sim::Now() + options_.retry_backoff, s});
     return;
   }
-  if (resume == Phase::kLockPeek) {
-    StageLockPeek(s);
-  } else {
-    StageProbe(s);
-  }
+  StageStep(s);
 }
 
 void LoadEngine::OnRetryTimer(uint32_t s) {
@@ -840,11 +562,7 @@ void LoadEngine::OnRetryTimer(uint32_t s) {
   if (rtrace_ != nullptr) {
     ChargeStage(ses, obs::RtraceStage::kBackoff, sim::Now());
   }
-  if (ses.resume == Phase::kLockPeek) {
-    StageLockPeek(s);
-  } else {
-    StageProbe(s);
-  }
+  StageStep(s);
 }
 
 void LoadEngine::FinishOp(uint32_t s, bool ok, bool found) {
@@ -861,35 +579,31 @@ void LoadEngine::FinishOp(uint32_t s, bool ok, bool found) {
   // ops and are skipped.
   if (lin_ != nullptr && ses.op != OpType::kScan) {
     const uint32_t lin_client = first_global_session_ + s;
+    // Registers are named by the key's hash, as KvStore names them, so
+    // one history can hold both dataplanes' ops on a table.
+    const uint64_t lin_key = StableHash64(KeyView(ses.key_bytes));
     const auto inv = static_cast<uint64_t>(ses.intended);
+    // The slot image still holds the value found or written.
+    const std::span<const std::byte> value = ses.slot.value();
+    const uint64_t digest =
+        check::LinChecker::Digest(value.data(), value.size());
+    const kv::SlotOutcome outcome = ses.slot.outcome();
+    const kv::SlotPhase phase = ses.slot.phase();
     if (ok) {
-      const bool is_write =
-          ses.op == OpType::kUpdate || ses.op == OpType::kInsert ||
-          (ses.op == OpType::kReadModifyWrite && found);
-      if (is_write) {
-        lin_->RecordOp(lin_client, check::LinOpKind::kWrite, ses.key_id,
-                       ses.lin_write_digest, inv, static_cast<uint64_t>(now));
-      } else {
-        // Read path (including rmw that found no mapping): digest the
-        // value bytes still in this session's scratch slot image.
-        uint64_t digest = check::kLinAbsent;
-        if (found) {
-          const std::byte* scratch = Scratch(s);
-          uint32_t val_len = 0;
-          std::memcpy(&val_len, scratch + SlotLayout::kValLenOff,
-                      sizeof(val_len));
-          digest = check::LinChecker::Digest(
-              scratch + SlotLayout::kPayloadOff + 8, val_len);
-        }
-        lin_->RecordOp(lin_client, check::LinOpKind::kRead, ses.key_id,
-                       digest, inv, static_cast<uint64_t>(now));
-      }
-    } else if (ses.lin_staged) {
+      // A read includes an rmw that found no mapping.
+      lin_->RecordOp(lin_client,
+                     outcome == kv::SlotOutcome::kWritten
+                         ? check::LinOpKind::kWrite
+                         : check::LinOpKind::kRead,
+                     lin_key, found ? digest : check::kLinAbsent, inv,
+                     static_cast<uint64_t>(now));
+    } else if (phase == kv::SlotPhase::kWrite ||
+               outcome == kv::SlotOutcome::kWritten) {
       // The op failed after its payload write was posted: the value may
       // or may not be visible to readers. Pending = may linearize at any
       // point after invocation, or never.
-      lin_->RecordPending(lin_client, check::LinOpKind::kWrite, ses.key_id,
-                          ses.lin_write_digest, inv);
+      lin_->RecordPending(lin_client, check::LinOpKind::kWrite, lin_key,
+                          digest, inv);
     }
   }
   if (ok) {

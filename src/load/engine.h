@@ -5,11 +5,13 @@
 // run costs 10k small structs, not 10k stacks. Each session follows a
 // deterministic open-loop arrival schedule (exponential gaps at the
 // curve's instantaneous rate, drawn from a per-session RNG) and runs one
-// RKV operation at a time through an asynchronous replica of KvStore's
-// slot protocol — speculative probe reads with seqlock validation, CAS
-// lock acquire, raw re-check under the lock, payload write, 8-byte
-// release — posted through the SessionMux and resumed by completion
-// cookies (wr_id = session << 32 | generation).
+// RKV operation at a time on its own kv::SlotOp, the slot protocol that
+// KvStore runs blocking: one stager posts each step the machine names
+// through the SessionMux, on the lane of the step's rcheck race class,
+// and completion cookies (wr_id = session << 32 | generation) feed the
+// results back. Every conflict spends one unit of
+// a per-op retry budget and most wait out a backoff timer (DESIGN.md
+// compares this policy with KvStore's).
 //
 // Coordinated-omission safety: every operation's latency is measured
 // from its *intended* send time under the arrival schedule. When a
@@ -43,7 +45,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/client.h"
-#include "kv/kv.h"
+#include "kv/slot_op.h"
 #include "load/admission.h"
 #include "load/hotkeys.h"
 #include "load/session_mux.h"
@@ -119,17 +121,10 @@ class LoadEngine {
  private:
   enum class Phase : uint8_t {
     kIdle,
-    kDeferred,     // admission parked the op; no WR in flight
-    kBackoff,      // seqlock conflict backoff; resumes via retries_ heap
-    kProbe,        // chained slot+version speculative read outstanding
-    kProbePieces,  // slab-split slot read outstanding (then verify)
-    kProbeVerify,  // post-split version validation read outstanding
-    kLockPeek,     // speculative 8-byte version read outstanding
-    kLockCas,      // seqlock CAS outstanding
-    kRecheck,      // raw re-read under the lock outstanding
-    kWrite,        // payload write outstanding
-    kUnlock,       // 8-byte release write outstanding
-    kScan,         // one or more scan-run reads outstanding
+    kDeferred,  // admission parked the op; no WR in flight
+    kBackoff,   // conflict backoff; resumes via retries_ heap
+    kSlot,      // a round trip of the slot machine's step is outstanding
+    kScan,      // one or more scan-run reads outstanding
   };
 
   struct Session {
@@ -140,20 +135,14 @@ class LoadEngine {
     std::deque<sim::Nanos> backlog;
     // --- current op ---
     Phase phase = Phase::kIdle;
-    Phase resume = Phase::kProbe;  // where a kBackoff wakeup re-enters
     OpType op = OpType::kRead;
     sim::Nanos intended = 0;
     uint64_t key_id = 0;
     std::byte key_bytes[8] = {};
-    uint64_t home = 0;       // home slot
-    uint32_t probe = 0;      // probe distance so far
-    int64_t reusable = -1;   // first tombstone seen during the probe
-    int64_t target = -1;     // slot being locked/written
-    uint64_t lock_compare = 0;   // version the CAS expects
-    uint64_t locked_version = 0; // odd version we hold
+    kv::SlotOp slot;         // the op's slot protocol (a scan: its home)
+    uint32_t io_next = 0;    // next IO of a step split over round trips
     uint32_t server_idx = 0;     // admission charge (home slot's server)
     uint32_t retries_left = 0;
-    bool failed = false;     // unlock-then-retry instead of complete
     bool step_error = false; // a WR of the current step errored
     uint32_t gen = 0;        // completion cookie generation
     uint32_t pending = 0;    // signaled WRs outstanding for this step
@@ -164,9 +153,6 @@ class LoadEngine {
     sim::Nanos tr_cursor = 0;          // last instant charged to a stage
     obs::RtraceStageNs tr_stage{};     // per-stage ns of the current op
     verbs::WireStamps tr_last{};       // stamps of the last completed step
-    // --- rlin (maintained only when a LinChecker is attached) ---
-    uint64_t lin_write_digest = 0;  // digest of the last staged payload
-    bool lin_staged = false;        // a payload write was posted this op
   };
 
   // One slab-contiguous piece of a slot range (slots may straddle slab
@@ -201,20 +187,11 @@ class LoadEngine {
   void BeginOp(uint32_t s);
   void BeginAdmitted(uint32_t s);
   void HandleCompletion(const verbs::WorkCompletion& wc);
-  void OnProbeDone(uint32_t s);
-  void OnLockPeekDone(uint32_t s);
-  void OnLockCasDone(uint32_t s);
-  void OnRecheckDone(uint32_t s);
-  void OnUnlockDone(uint32_t s);
-  void OnScanDone(uint32_t s);
+  // Stages the slot machine's current step (from IO io_next on).
+  void StageStep(uint32_t s);
+  // Feeds a finished step to the machine and acts on its result.
+  void OnStepDone(uint32_t s);
   void OnRetryTimer(uint32_t s);
-  void StageProbe(uint32_t s);
-  void StageProbeVerify(uint32_t s);
-  void StageLockPeek(uint32_t s);
-  void StageLockCas(uint32_t s);
-  void StageRecheck(uint32_t s);
-  void StageWrite(uint32_t s);
-  void StageUnlock(uint32_t s);
   void StageScan(uint32_t s);
   void RetryOp(uint32_t s, bool backoff);
   void FinishOp(uint32_t s, bool ok, bool found = true);
@@ -232,11 +209,12 @@ class LoadEngine {
   [[nodiscard]] uint32_t ServerIndexOf(uint64_t slot);
   [[nodiscard]] std::byte* Scratch(uint32_t s) noexcept;
   [[nodiscard]] uint64_t Cookie(uint32_t s) const noexcept;
-  [[nodiscard]] verbs::SendWr ReadWr(const core::RemoteSpan& span,
-                                     std::byte* dst, uint32_t len,
-                                     uint64_t cookie, bool signaled);
   // Splits [offset, offset+length) at slab boundaries into pieces_.
   Status CollectPieces(uint64_t offset, uint64_t length, std::byte* local);
+  // Stages one WR per piece of `io` (in pieces_) on `lane`; unsignaled
+  // WRs carry no cookie.
+  void StagePieces(uint32_t s, Lane lane, const kv::SlotIo& io,
+                   bool signaled);
   void DrawKey(uint32_t s);
   [[nodiscard]] size_t Moderation() const noexcept;
   void ResolveObs();

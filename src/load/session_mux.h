@@ -38,16 +38,14 @@
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "kv/slot_op.h"
 #include "verbs/verbs.h"
 
 namespace rstore::load {
 
-// Which rcheck scope a staged WR posts under.
-enum class Lane : uint8_t {
-  kSpeculative = 0,  // seqlock-validated reads (racy by design)
-  kPlain = 1,        // data IO + atomics (protected by the seqlock)
-  kSyncCell = 2,     // the 8-byte seqlock release write
-};
+// Which rcheck scope a staged WR posts under: one lane per race class of
+// the slot protocol (speculative, plain, sync-cell).
+using Lane = kv::SlotRace;
 inline constexpr uint32_t kLanes = 3;
 
 struct MuxStats {

@@ -83,7 +83,20 @@ TEST(CheckTest, RemoteWriteWriteRaceReportedOnce) {
   cluster.sim().Run();
 
   EXPECT_EQ(CountType(checker, check::ViolationType::kRace), 1u);
-  EXPECT_EQ(checker.violations().size(), 1u);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  // The text report names both endpoints' bytes by region and offset,
+  // never by host address, which moves between runs (e.g. under ASan).
+  const check::Violation& v = checker.violations().front();
+  std::ostringstream text;
+  checker.PrintReports(text);
+  const std::string where =
+      " region " + std::to_string(v.region_id) + " [0, 64) at t=";
+  const std::string report = text.str();
+  const size_t first = report.find(where);
+  ASSERT_NE(first, std::string::npos) << report;
+  EXPECT_NE(report.find(where, first + 1), std::string::npos) << report;
+  EXPECT_EQ(report.find(std::to_string(v.b.lo)), std::string::npos)
+      << report;
 }
 
 // A reader chases a write whose completion the writer never observed

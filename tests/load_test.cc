@@ -10,10 +10,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "check/check.h"
+#include "check/lin.h"
 #include "core/cluster.h"
+#include "kv/kv.h"
 #include "load/admission.h"
 #include "load/engine.h"
 #include "load/hotkeys.h"
@@ -408,6 +412,60 @@ TEST(LoadEngineTest, HotKeysSurfaceTheZipfHead) {
   for (size_t i = 1; i < r.stats.hotkeys.size(); ++i) {
     EXPECT_LE(r.stats.hotkeys[i].count, r.stats.hotkeys[i - 1].count);
   }
+}
+
+// Both dataplanes run one slot protocol: after a contended YCSB-A run of
+// the asynchronous engine, the blocking KvStore reads every preloaded key,
+// a raw scan of the table finds each key in exactly one slot, and rlin
+// finds the two dataplanes' combined history linearizable.
+TEST(LoadEngineTest, KvStoreReadsTheTableAnEngineRunLeft) {
+  LoadOptions opts = SmallOptions();
+  opts.offered_load = 400e3;
+  TestCluster cluster(SmallCluster());
+  check::LinChecker lin;
+  cluster.sim().AttachLinChecker(&lin);
+  cluster.RunClient([&](RStoreClient& client) {
+    ASSERT_TRUE(LoadEngine::PreloadTable(client, "t", opts).ok());
+    LoadEngine engine(client, "t", opts, 0, 1);
+    ASSERT_TRUE(engine.Run().ok());
+    EXPECT_GT(engine.stats().retries, 0u);  // the conflict paths ran
+
+    auto kv = kv::KvStore::Open(client, "t");
+    ASSERT_TRUE(kv.ok()) << kv.status();
+    for (uint64_t id = 0; id < opts.preload_keys; ++id) {
+      std::byte key[8];
+      LoadEngine::EncodeKey(id, key);
+      auto got = (*kv)->Get(
+          std::string_view(reinterpret_cast<const char*>(key), sizeof(key)));
+      ASSERT_TRUE(got.ok()) << "key " << id << ": " << got.status();
+      EXPECT_EQ(got->size(), opts.value_bytes);
+    }
+
+    const kv::KvOptions& table = (*kv)->options();
+    auto region = client.Rmap("t");
+    ASSERT_TRUE(region.ok());
+    auto slots = client.AllocBuffer(table.buckets * table.slot_bytes);
+    ASSERT_TRUE(slots.ok());
+    ASSERT_TRUE(
+        (*region)->Read(kv::SlotLayout::kHeaderBytes, slots->data).ok());
+    std::vector<uint32_t> copies(opts.preload_keys, 0);
+    for (uint64_t slot = 0; slot < table.buckets; ++slot) {
+      const kv::SlotView view =
+          kv::SlotLayout::Parse(slots->begin() + slot * table.slot_bytes);
+      if (view.key.empty()) continue;
+      ASSERT_EQ(view.key.size(), 8u) << "slot " << slot;
+      uint64_t id = 0;
+      std::memcpy(&id, view.key.data(), sizeof(id));
+      ASSERT_LT(id, opts.preload_keys) << "slot " << slot;
+      ++copies[id];
+    }
+    for (uint64_t id = 0; id < opts.preload_keys; ++id) {
+      EXPECT_EQ(copies[id], 1u) << "key " << id;
+    }
+  });
+  lin.Finalize();
+  EXPECT_GT(lin.op_count(), opts.preload_keys);
+  EXPECT_EQ(lin.violation_count(), 0u);
 }
 
 TEST(LoadEngineTest, InsertScanAndRmwMixesComplete) {
